@@ -82,6 +82,7 @@ void PruneHistory(const std::filesystem::path& dir) {
 std::string KernelContextJson(const std::string& indent) {
   std::ostringstream os;
   os << indent << "\"context\": {\n"
+     << indent << "  \"build_type\": \"" << COSTREAM_BUILD_TYPE << "\",\n"
      << indent << "  \"kernel_detected\": \""
      << nn::KernelTierName(nn::DetectedKernelTier()) << "\",\n"
      << indent << "  \"kernel_active\": \""

@@ -41,12 +41,12 @@ workload::TraceFormat BenchTraceFormat();
 bool SpliceJsonSection(const std::string& path, const std::string& section);
 
 // JSON fragment `"context": {...}` (indented by `indent`, no trailing comma
-// or newline) recording the kernel-dispatch context of this process: the
-// best ISA tier the CPU supports, the tier the GEMM kernels actually
-// dispatch to, and the raw COSTREAM_KERNEL override when set (null
-// otherwise). Every spliced BENCH_micro.json section leads with this block
-// so history snapshots stay attributable to the code path that produced
-// them when runs cross machines or someone pins a tier.
+// or newline) recording the context of this process: the CMake build type
+// it was compiled in, the best ISA tier the CPU supports, the tier the GEMM
+// kernels actually dispatch to, and the raw COSTREAM_KERNEL override when
+// set (null otherwise). Every spliced BENCH_micro.json section leads with
+// this block so history snapshots stay attributable to the code path that
+// produced them when runs cross machines, builds or pinned tiers.
 std::string KernelContextJson(const std::string& indent);
 
 // Copies `json_path` into results/history/<stem>-<UTC timestamp>.json so

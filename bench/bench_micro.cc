@@ -151,8 +151,10 @@ void BM_ParallelTrainEpoch(benchmark::State& state) {
   state.counters["workers"] =
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
+// Real time: the pool's workers do the work, so main-thread CPU time would
+// inflate every kIsRate counter as the thread count grows.
 BENCHMARK(BM_ParallelTrainEpoch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Thread scaling of batched placement-candidate scoring inside the
 // optimizer. Reports candidates/s.
@@ -188,7 +190,7 @@ void BM_ParallelCandidateScoring(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
 BENCHMARK(BM_ParallelCandidateScoring)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PlacementEnumeration(benchmark::State& state) {
   const auto record = MakeRecord(workload::QueryTemplate::kThreeWayJoin, 5);
@@ -263,7 +265,9 @@ void BM_CorpusGeneration(benchmark::State& state) {
   state.counters["workers"] =
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
-BENCHMARK(BM_CorpusGeneration)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+// Real time, like every thread sweep here (see BM_ParallelTrainEpoch).
+BENCHMARK(BM_CorpusGeneration)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 // --- Corpus persistence (trace formats) ------------------------------------
 
@@ -358,7 +362,7 @@ void BM_ParallelFeaturization(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(threads));
 }
 BENCHMARK(BM_ParallelFeaturization)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- Metrics overhead measurement -----------------------------------------
 //

@@ -495,12 +495,16 @@ run_suite build-ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCOSTREAM_SANITIZE=unde
 echo "=== AddressSanitizer trace-loader fuzz sweep ==="
 # The randomized corruption sweep must stay clean under ASan: the zero-copy
 # v2 parser's bounds checks are the only thing between a lying length prefix
-# and an out-of-bounds read. Only the fuzz binary runs here — the full suite
-# already ran under TSan above.
+# and an out-of-bounds read. The codec suite rides along: the block
+# decompressor copies in 16-byte chunks that overshoot each run, and only
+# its room checks keep those copies inside both buffers. Only these binaries
+# run here — the full suite already ran under TSan above.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCOSTREAM_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$JOBS" --target workload_trace_fuzz_test service_churn_test
-ctest --test-dir build-asan -R workload_trace_fuzz_test --output-on-failure
+cmake --build build-asan -j "$JOBS" \
+  --target workload_trace_fuzz_test common_codec_test service_churn_test
+ctest --test-dir build-asan -R 'workload_trace_fuzz_test|common_codec_test' \
+  --output-on-failure
 
 echo "=== AddressSanitizer service churn sweep ==="
 # The churn suite drives the long-lived service through hundreds of

@@ -10,6 +10,23 @@ namespace {
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;
 constexpr int kHashBits = 15;
+constexpr size_t kCopyChunk = 16;
+
+// Bytes a chunked copy of `n` bytes touches: n rounded up to whole chunks.
+inline size_t ChunkedSpan(size_t n) {
+  return (n + kCopyChunk - 1) & ~(kCopyChunk - 1);
+}
+
+// Copies n bytes as whole kCopyChunk-byte chunks, so it reads and writes
+// ChunkedSpan(n) bytes; the overshoot past dst + n is scratch that later
+// output overwrites. No single chunk may overlap: src + kCopyChunk <= dst
+// whenever both point into the same buffer.
+inline void ChunkedCopy(unsigned char* dst, const unsigned char* src,
+                        size_t n) {
+  for (size_t k = 0; k < n; k += kCopyChunk) {
+    std::memcpy(dst + k, src + k, kCopyChunk);
+  }
+}
 
 inline uint32_t Load32(const unsigned char* p) {
   uint32_t v = 0;
@@ -103,11 +120,15 @@ bool DecompressBlock(const char* src_c, size_t src_size, char* dst_c,
         literal_len += b;
       } while (b == 255);
     }
-    if (literal_len > static_cast<size_t>(iend - ip) ||
-        literal_len > static_cast<size_t>(oend - op)) {
-      return false;
+    const size_t in_room = static_cast<size_t>(iend - ip);
+    const size_t out_room = static_cast<size_t>(oend - op);
+    if (literal_len > in_room || literal_len > out_room) return false;
+    if (ChunkedSpan(literal_len) <= in_room &&
+        ChunkedSpan(literal_len) <= out_room) {
+      ChunkedCopy(op, ip, literal_len);
+    } else {
+      std::memcpy(op, ip, literal_len);
     }
-    std::memcpy(op, ip, literal_len);
     op += literal_len;
     ip += literal_len;
     if (ip == iend) {
@@ -128,11 +149,20 @@ bool DecompressBlock(const char* src_c, size_t src_size, char* dst_c,
         match_len += b;
       } while (b == 255);
     }
-    if (match_len > static_cast<size_t>(oend - op)) return false;
+    const size_t match_room = static_cast<size_t>(oend - op);
+    if (match_len > match_room) return false;
     const unsigned char* match = op - offset;
-    // Byte-by-byte so overlapping matches (offset < match_len) replicate
-    // runs, exactly as the compressor assumed.
-    for (size_t k = 0; k < match_len; ++k) op[k] = match[k];
+    if (offset >= kCopyChunk && ChunkedSpan(match_len) <= match_room) {
+      // Each chunk reads only bytes that are already final (offset >=
+      // chunk), so this equals the byte loop even when the match overlaps.
+      ChunkedCopy(op, match, match_len);
+    } else if (offset >= match_len) {
+      std::memcpy(op, match, match_len);
+    } else {
+      // Byte-by-byte so short-offset overlapping matches replicate runs,
+      // exactly as the compressor assumed.
+      for (size_t k = 0; k < match_len; ++k) op[k] = match[k];
+    }
     op += match_len;
   }
 }

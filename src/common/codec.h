@@ -25,6 +25,17 @@ namespace costream::common {
 // malformed input (offset of 0 or beyond the produced output, lengths past
 // either buffer, a stream that does not produce exactly `dst_size` bytes)
 // returns false without reading or writing out of bounds.
+//
+// Copy rule. After those checks pass, the decompressor copies a literal run
+// or a match of n bytes in whole 16-byte chunks (16 * ceil(n / 16) bytes)
+// whenever that rounded span still fits in the room left in the output and,
+// for literals, in the input; the overshoot past n lands in output that the
+// following sequences overwrite, so the result is exact. Matches take the
+// chunked path only when offset >= 16: every chunk then reads bytes that
+// are already final, which equals the byte-at-a-time semantics above even
+// when the match overlaps its own output. Otherwise a match with offset >=
+// length is one memcpy, and only a short-offset overlapping match (offset
+// < 16 and offset < length) is copied byte by byte.
 
 // Appends the compressed image of src[0..size) to *out. Never fails;
 // incompressible input degrades to literal runs (worst case ~size/255 + 16

@@ -71,26 +71,28 @@ void StreamingCorpus::Fetch(const int64_t* ids, int count,
     record_ids[static_cast<size_t>(i)] =
         sample_to_record_[static_cast<size_t>(ids[i])];
   }
-  // Decode the batch's blocks concurrently before the featurize pass, which
-  // then hits the cache (or re-decodes if evicted — slower, never wrong).
-  reader_->Prefetch(record_ids.data(), record_ids.size());
+  // Pin the batch's blocks (one lookup or concurrent decode per distinct
+  // block), then parse each record from its pinned block: a batch wider
+  // than the cache never decodes a block twice.
+  const std::vector<TraceReader::BlockRef> blocks =
+      reader_->Prefetch(record_ids.data(), record_ids.size());
   buffer_.assign(static_cast<size_t>(count), core::TrainSample{});
   std::atomic<bool> ok{true};
   common::ParallelFor(options_.num_threads, count, [&](int i) {
+    const size_t k = static_cast<size_t>(i);
     TraceRecord record;
-    if (!reader_->Get(record_ids[static_cast<size_t>(i)], &record)) {
+    if (!reader_->Get(record_ids[k], blocks[k], &record)) {
       ok.store(false, std::memory_order_relaxed);
       return;
     }
     // The scan already established this record survives featurization.
-    if (!FeaturizeRecord(record, metric_, options_.mode,
-                         &buffer_[static_cast<size_t>(i)])) {
+    if (!FeaturizeRecord(record, metric_, options_.mode, &buffer_[k])) {
       ok.store(false, std::memory_order_relaxed);
     }
   });
-  // A block that validated at Open can only fail here if the file mutated
-  // underneath the mapping; training on silently-missing samples would be
-  // worse than dying.
+  // The scan already parsed every record, so a failure here means the file
+  // mutated underneath the mapping; training on silently-missing samples
+  // would be worse than dying.
   COSTREAM_CHECK(ok.load());
   for (int i = 0; i < count; ++i) out[i] = &buffer_[static_cast<size_t>(i)];
   fetched.Add(static_cast<uint64_t>(count));

@@ -223,12 +223,16 @@ bool ParseRecordBody(Cursor body, bool link_fields, TraceRecord* record);
 bool ParseRecordFrames(Cursor* cur, uint64_t count, bool link_fields,
                        std::vector<TraceRecord>* records);
 
-// Verifies a block frame's checksum against the stored payload bytes at
-// `payload`, then materializes the uncompressed payload into *out (raw copy
-// or codec decompression according to the frame flags). False on any
-// mismatch, unknown flag bit, or size lie.
-bool DecodeBlockPayload(const unsigned char* payload, const BlockFrame& frame,
-                        std::string* out);
+// Checks a block frame's flags and size cap, then its checksum against the
+// stored payload bytes at `payload`. False on any mismatch, unknown flag
+// bit, or size lie; nothing is allocated.
+bool VerifyBlockPayload(const unsigned char* payload, const BlockFrame& frame);
+
+// Materializes a verified block's uncompressed payload into *out (raw copy
+// or codec decompression according to the frame flags), sized exactly
+// `frame.uncompressed_bytes`. False on a malformed codec stream.
+bool InflateBlockPayload(const unsigned char* payload, const BlockFrame& frame,
+                         std::string* out);
 
 // Writes one v1 text record (the `record` ... `end` stanza). The stream's
 // precision must already be 17 for lossless doubles.

@@ -586,16 +586,18 @@ bool ParseRecordFrames(Cursor* cur, uint64_t count, bool link_fields,
   return true;
 }
 
-bool DecodeBlockPayload(const unsigned char* payload, const BlockFrame& frame,
-                        std::string* out) {
+bool VerifyBlockPayload(const unsigned char* payload,
+                        const BlockFrame& frame) {
   if ((frame.flags & ~kKnownBlockFlags) != 0) return false;
   if (frame.uncompressed_bytes > kMaxBlockUncompressedBytes) return false;
   // The checksum is seeded with the other frame fields, so a lying size or
-  // count fails here — before the uncompressed allocation below.
-  if (common::Fnv1a64(payload, frame.compressed_bytes, FrameSeed(frame)) !=
-      frame.checksum) {
-    return false;
-  }
+  // count fails here — before any uncompressed allocation.
+  return common::Fnv1a64(payload, frame.compressed_bytes, FrameSeed(frame)) ==
+         frame.checksum;
+}
+
+bool InflateBlockPayload(const unsigned char* payload, const BlockFrame& frame,
+                         std::string* out) {
   if ((frame.flags & kBlockFlagCodec) != 0) {
     out->resize(frame.uncompressed_bytes);
     return common::DecompressBlock(reinterpret_cast<const char*>(payload),
@@ -842,7 +844,10 @@ bool LoadCompressedBlocks(internal::Cursor cur, const char* base, size_t size,
       return false;
     }
     if (cur.remaining() < frame.compressed_bytes) return false;
-    if (!internal::DecodeBlockPayload(cur.p, frame, &payload)) return false;
+    if (!internal::VerifyBlockPayload(cur.p, frame) ||
+        !internal::InflateBlockPayload(cur.p, frame, &payload)) {
+      return false;
+    }
     cur.Skip(frame.compressed_bytes);
     internal::Cursor body{
         reinterpret_cast<const unsigned char*>(payload.data()),

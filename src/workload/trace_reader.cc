@@ -20,8 +20,18 @@ obs::Counter& BlockMissesCounter() {
   static obs::Counter& c = obs::GetCounter("workload.reader.block_misses");
   return c;
 }
-obs::Histogram& DecodeLatency() {
-  static obs::Histogram& h = obs::GetHistogram("workload.reader.decode_us");
+obs::Histogram& ChecksumLatency() {
+  static obs::Histogram& h = obs::GetHistogram("workload.reader.checksum_us");
+  return h;
+}
+obs::Histogram& DecompressLatency() {
+  static obs::Histogram& h =
+      obs::GetHistogram("workload.reader.decompress_us");
+  return h;
+}
+obs::Histogram& FrameScanLatency() {
+  static obs::Histogram& h =
+      obs::GetHistogram("workload.reader.frame_scan_us");
   return h;
 }
 obs::Gauge& CachedBytesGauge() {
@@ -30,6 +40,12 @@ obs::Gauge& CachedBytesGauge() {
 }
 
 }  // namespace
+
+struct TraceReader::Block {
+  uint64_t first_record = 0;
+  std::string payload;  // checksum-verified, decompressed record frames
+  FrameTable frames;    // offsets into `payload`
+};
 
 std::unique_ptr<TraceReader> TraceReader::Open(
     const std::string& path, const TraceReaderOptions& options) {
@@ -64,22 +80,39 @@ std::unique_ptr<TraceReader> TraceReader::Open(const std::string& path) {
   return Open(path, TraceReaderOptions{});
 }
 
+bool TraceReader::ScanFrames(const unsigned char* begin,
+                             const unsigned char* end, uint64_t count,
+                             FrameTable* frames) {
+  internal::Cursor cur{begin, end};
+  // Every frame carries at least its u32 length prefix, so a lying count
+  // fails here instead of sizing the table.
+  if (count > cur.remaining() / 4) return false;
+  frames->offsets.reserve(static_cast<size_t>(count));
+  frames->sizes.reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint32_t size = 0;
+    if (!cur.GetU32(&size) || cur.remaining() < size) return false;
+    frames->offsets.push_back(static_cast<uint64_t>(cur.p - begin));
+    frames->sizes.push_back(size);
+    cur.p += size;
+  }
+  return cur.remaining() == 0;  // trailing bytes fail closed
+}
+
+bool TraceReader::ParseFrame(const unsigned char* begin,
+                             const FrameTable& frames, size_t i,
+                             TraceRecord* out) const {
+  const unsigned char* body = begin + frames.offsets[i];
+  *out = TraceRecord{};
+  return internal::ParseRecordBody({body, body + frames.sizes[i]},
+                                   link_fields_, out);
+}
+
 bool TraceReader::OpenPlain() {
   // One pass over the record frames records where each body lives; bodies
   // themselves are parsed lazily per Get.
-  const unsigned char* base =
-      reinterpret_cast<const unsigned char*>(file_.data());
-  internal::Cursor cur{base + info_.header_bytes, base + file_.size()};
-  offsets_.reserve(static_cast<size_t>(num_records_));
-  sizes_.reserve(static_cast<size_t>(num_records_));
-  for (int64_t i = 0; i < num_records_; ++i) {
-    uint32_t payload = 0;
-    if (!cur.GetU32(&payload) || cur.remaining() < payload) return false;
-    offsets_.push_back(static_cast<uint64_t>(cur.p - base));
-    sizes_.push_back(payload);
-    cur.p += payload;
-  }
-  return cur.remaining() == 0;  // trailing garbage fails closed
+  return ScanFrames(mapped() + info_.header_bytes, mapped() + file_.size(),
+                    static_cast<uint64_t>(num_records_), &plain_frames_);
 }
 
 bool TraceReader::OpenCompressed() {
@@ -126,61 +159,72 @@ bool TraceReader::OpenCompressed() {
   return expected_record == record_count;
 }
 
-std::shared_ptr<const std::vector<TraceRecord>> TraceReader::DecodeBlock(
-    size_t block) const {
-  const TraceBlockInfo& entry = info_.blocks[block];
-  const unsigned char* base =
-      reinterpret_cast<const unsigned char*>(file_.data());
-  internal::Cursor cur{base + entry.offset, base + file_.size()};
-  internal::BlockFrame frame;
-  if (!internal::GetBlockFrame(&cur, &frame)) return nullptr;
-  obs::ScopedTimer timer(DecodeLatency());
-  std::string payload;
-  if (!internal::DecodeBlockPayload(cur.p, frame, &payload)) return nullptr;
-  auto records = std::make_shared<std::vector<TraceRecord>>();
-  records->reserve(entry.record_count);
-  internal::Cursor body{
-      reinterpret_cast<const unsigned char*>(payload.data()),
-      reinterpret_cast<const unsigned char*>(payload.data()) + payload.size()};
-  if (!internal::ParseRecordFrames(&body, entry.record_count, link_fields_,
-                                   records.get())) {
-    return nullptr;
-  }
-  if (body.remaining() != 0) return nullptr;
-  return records;
+size_t TraceReader::BlockOf(int64_t index) const {
+  const auto it = std::upper_bound(first_records_.begin(), first_records_.end(),
+                                   static_cast<uint64_t>(index));
+  return static_cast<size_t>(it - first_records_.begin()) - 1;
 }
 
-std::shared_ptr<const std::vector<TraceRecord>> TraceReader::GetBlock(
-    size_t block) {
+TraceReader::BlockRef TraceReader::DecodeBlock(size_t index) const {
+  const TraceBlockInfo& entry = info_.blocks[index];
+  internal::Cursor cur{mapped() + entry.offset, mapped() + file_.size()};
+  internal::BlockFrame frame;
+  if (!internal::GetBlockFrame(&cur, &frame) ||
+      cur.remaining() < frame.compressed_bytes) {
+    return nullptr;
+  }
+  {
+    obs::ScopedTimer timer(ChecksumLatency());
+    if (!internal::VerifyBlockPayload(cur.p, frame)) return nullptr;
+  }
+  auto block = std::make_shared<Block>();
+  block->first_record = entry.first_record;
+  {
+    obs::ScopedTimer timer(DecompressLatency());
+    if (!internal::InflateBlockPayload(cur.p, frame, &block->payload)) {
+      return nullptr;
+    }
+  }
+  obs::ScopedTimer timer(FrameScanLatency());
+  const auto* payload =
+      reinterpret_cast<const unsigned char*>(block->payload.data());
+  if (!ScanFrames(payload, payload + block->payload.size(),
+                  entry.record_count, &block->frames)) {
+    return nullptr;
+  }
+  return block;
+}
+
+TraceReader::BlockRef TraceReader::GetBlock(size_t index) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(block);
+    auto it = cache_.find(index);
     if (it != cache_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       hits_.fetch_add(1, std::memory_order_relaxed);
       BlockHitsCounter().Add(1);
-      return it->second.records;
+      return it->second.block;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   BlockMissesCounter().Add(1);
   // Decode outside the lock so concurrent misses on different blocks
   // overlap; a duplicate decode of the same block is resolved below.
-  auto records = DecodeBlock(block);
-  if (records == nullptr) return nullptr;
+  BlockRef block = DecodeBlock(index);
+  if (block == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(block);
+  auto it = cache_.find(index);
   if (it != cache_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.records;
+    return it->second.block;
   }
-  lru_.push_front(block);
+  lru_.push_front(index);
   CacheEntry entry;
-  entry.records = records;
-  entry.bytes = info_.blocks[block].uncompressed_bytes;
+  entry.block = block;
+  entry.bytes = info_.blocks[index].uncompressed_bytes;
   entry.lru_it = lru_.begin();
   cached_bytes_now_ += entry.bytes;
-  cache_.emplace(block, std::move(entry));
+  cache_.emplace(index, std::move(entry));
   while (cache_.size() > static_cast<size_t>(options_.max_cached_blocks)) {
     const size_t victim = lru_.back();
     lru_.pop_back();
@@ -193,7 +237,17 @@ std::shared_ptr<const std::vector<TraceRecord>> TraceReader::GetBlock(
          !peak_cached_bytes_.compare_exchange_weak(peak, cached_bytes_now_)) {
   }
   CachedBytesGauge().Set(static_cast<double>(cached_bytes_now_));
-  return records;
+  return block;
+}
+
+bool TraceReader::ParseFromBlock(const Block& block, int64_t index,
+                                 TraceRecord* out) const {
+  const uint64_t i = static_cast<uint64_t>(index) - block.first_record;
+  COSTREAM_CHECK(static_cast<uint64_t>(index) >= block.first_record &&
+                 i < block.frames.sizes.size());
+  return ParseFrame(
+      reinterpret_cast<const unsigned char*>(block.payload.data()),
+      block.frames, static_cast<size_t>(i), out);
 }
 
 bool TraceReader::Get(int64_t index, TraceRecord* out) {
@@ -203,45 +257,47 @@ bool TraceReader::Get(int64_t index, TraceRecord* out) {
     case Mode::kEager:
       *out = records_[static_cast<size_t>(index)];
       return true;
-    case Mode::kPlainV2: {
-      const unsigned char* base =
-          reinterpret_cast<const unsigned char*>(file_.data());
-      const size_t i = static_cast<size_t>(index);
-      internal::Cursor body{base + offsets_[i],
-                            base + offsets_[i] + sizes_[i]};
-      *out = TraceRecord{};
-      return internal::ParseRecordBody(body, link_fields_, out);
-    }
+    case Mode::kPlainV2:
+      return ParseFrame(mapped() + info_.header_bytes, plain_frames_,
+                        static_cast<size_t>(index), out);
     case Mode::kCompressedV2: {
-      const auto it = std::upper_bound(first_records_.begin(),
-                                       first_records_.end(),
-                                       static_cast<uint64_t>(index));
-      const size_t block =
-          static_cast<size_t>(it - first_records_.begin()) - 1;
-      const auto records = GetBlock(block);
-      if (records == nullptr) return false;
-      *out = (*records)[static_cast<size_t>(index) - first_records_[block]];
-      return true;
+      const BlockRef block = GetBlock(BlockOf(index));
+      return block != nullptr && ParseFromBlock(*block, index, out);
     }
   }
   return false;
 }
 
-void TraceReader::Prefetch(const int64_t* ids, size_t count) {
-  if (mode_ != Mode::kCompressedV2 || count == 0) return;
-  std::vector<size_t> blocks;
-  blocks.reserve(count);
+bool TraceReader::Get(int64_t index, const BlockRef& block, TraceRecord* out) {
+  if (block == nullptr) return Get(index, out);
+  COSTREAM_CHECK(out != nullptr);
+  return ParseFromBlock(*block, index, out);
+}
+
+std::vector<TraceReader::BlockRef> TraceReader::Prefetch(const int64_t* ids,
+                                                         size_t count) {
+  std::vector<BlockRef> handles(count);
+  if (mode_ != Mode::kCompressedV2 || count == 0) return handles;
+  std::vector<size_t> id_blocks(count);
   for (size_t i = 0; i < count; ++i) {
     COSTREAM_CHECK(ids[i] >= 0 && ids[i] < num_records_);
-    const auto it = std::upper_bound(first_records_.begin(),
-                                     first_records_.end(),
-                                     static_cast<uint64_t>(ids[i]));
-    blocks.push_back(static_cast<size_t>(it - first_records_.begin()) - 1);
+    id_blocks[i] = BlockOf(ids[i]);
   }
+  std::vector<size_t> blocks = id_blocks;
   std::sort(blocks.begin(), blocks.end());
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  std::vector<BlockRef> pinned(blocks.size());
   common::ParallelFor(options_.num_threads, static_cast<int>(blocks.size()),
-                      [&](int i) { GetBlock(blocks[static_cast<size_t>(i)]); });
+                      [&](int i) {
+                        const size_t b = static_cast<size_t>(i);
+                        pinned[b] = GetBlock(blocks[b]);
+                      });
+  for (size_t i = 0; i < count; ++i) {
+    const auto it =
+        std::lower_bound(blocks.begin(), blocks.end(), id_blocks[i]);
+    handles[i] = pinned[static_cast<size_t>(it - blocks.begin())];
+  }
+  return handles;
 }
 
 int TraceReader::cached_blocks() const {

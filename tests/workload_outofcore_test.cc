@@ -205,6 +205,64 @@ TEST(OutOfCoreTest, TraceReaderCacheStaysBounded) {
   std::remove(path.c_str());
 }
 
+// A batch spanning more blocks than the cache holds: Fetch pins every block
+// it looked up, so each block is decoded exactly once and nothing is
+// counted twice, even though the cache evicts most of them mid-batch.
+TEST(OutOfCoreTest, FetchDecodesEachBatchBlockOnceBeyondTheCacheCap) {
+  const auto records = SmallCorpus(40, 9);
+  const std::string path = ::testing::TempDir() + "/ooc_pinned.bin";
+  std::ostringstream os;
+  SaveTracesV2Compressed(os, records, 1024);
+  WriteFileBytes(path, std::move(os).str());
+
+  TraceReaderOptions opts;
+  opts.max_cached_blocks = 2;
+  auto reader = TraceReader::Open(path, opts);
+  ASSERT_NE(reader, nullptr);
+  const std::vector<TraceBlockInfo>& blocks = reader->info().blocks;
+  ASSERT_GE(blocks.size(), 10u) << "corpus too small for 8 + 2 blocks";
+
+  // Up to two records from each of blocks 0..7, interleaved so consecutive
+  // samples alternate blocks.
+  std::vector<int64_t> batch_records;
+  for (uint64_t pass = 0; pass < 2; ++pass) {
+    for (size_t b = 0; b < 8; ++b) {
+      if (pass < blocks[b].record_count) {
+        batch_records.push_back(
+            static_cast<int64_t>(blocks[b].first_record + pass));
+      }
+    }
+  }
+  // Records from blocks 8 and 9 come last in file order, so the scan leaves
+  // exactly those two cached and the batch below starts cold.
+  std::vector<int64_t> indices = batch_records;
+  indices.push_back(static_cast<int64_t>(blocks[8].first_record));
+  indices.push_back(static_cast<int64_t>(blocks[9].first_record));
+  const sim::Metric metric = sim::Metric::kBackpressure;  // drops nothing
+  StreamingCorpusOptions sc_opts;
+  sc_opts.num_threads = 2;
+  StreamingCorpus corpus(reader.get(), indices, metric, sc_opts);
+  ASSERT_EQ(corpus.size(), static_cast<int64_t>(indices.size()));
+
+  const uint64_t misses0 = reader->block_misses();
+  const uint64_t hits0 = reader->block_hits();
+  std::vector<int64_t> ids(batch_records.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int64_t>(i);
+  std::vector<const core::TrainSample*> batch(ids.size());
+  corpus.Fetch(ids.data(), static_cast<int>(ids.size()), batch.data());
+  EXPECT_EQ(reader->block_misses() - misses0, 8u);
+  EXPECT_EQ(reader->block_hits() - hits0, 0u);
+  EXPECT_LE(reader->cached_blocks(), 2);
+
+  const auto expected = ToTrainSamples(Gather(records, batch_records), metric);
+  ASSERT_EQ(expected.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i]->label, expected[i].label);
+    EXPECT_EQ(batch[i]->regression_target, expected[i].regression_target);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(OutOfCoreTest, TraceReaderFailsClosedOnTamperedIndex) {
   const auto records = SmallCorpus(20, 55);
   std::ostringstream os;

@@ -1,9 +1,13 @@
 // Randomized robustness sweep for the trace loaders: byte flips, truncations
 // and splices over valid v1/v2 images must never crash, read out of bounds
 // (CI runs this under AddressSanitizer) or allocate absurdly — every outcome
-// is either a clean `false` or a successfully validated corpus.
+// is either a clean `false` or a successfully validated corpus. The mmap
+// TraceReader gets the same sweep over compressed images, record by record.
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +17,10 @@
 #include "nn/random.h"
 #include "sim/geo.h"
 #include "sim/hardware.h"
+#include "workload/streaming.h"
+#include "workload/trace_format.h"
 #include "workload/trace_io.h"
+#include "workload/trace_reader.h"
 
 namespace costream::workload {
 namespace {
@@ -242,35 +249,40 @@ TEST(TraceFuzzTest, TruncatedLinkMatrixKeepsEarlierRecords) {
   }
 }
 
+// One random mutation of a binary image: a truncation, 1-4 byte flips, or
+// a splice of 1-32 random bytes.
+std::string MutateImage(nn::Rng& rng, std::string mutated) {
+  switch (rng.Int(0, 2)) {
+    case 0:
+      mutated = mutated.substr(
+          0, static_cast<size_t>(
+                 rng.Int(0, static_cast<int>(mutated.size()) - 1)));
+      break;
+    case 1: {
+      const int flips = rng.Int(1, 4);
+      for (int f = 0; f < flips; ++f) {
+        const int pos = rng.Int(0, static_cast<int>(mutated.size()) - 1);
+        mutated[pos] = static_cast<char>(rng.Int(0, 255));
+      }
+      break;
+    }
+    default: {
+      const int pos = rng.Int(0, static_cast<int>(mutated.size()));
+      std::string garbage(static_cast<size_t>(rng.Int(1, 32)), '\0');
+      for (char& c : garbage) c = static_cast<char>(rng.Int(0, 255));
+      mutated.insert(static_cast<size_t>(pos), garbage);
+      break;
+    }
+  }
+  return mutated;
+}
+
 // The generic mutation sweeps must hold over flagged geo images too.
 TEST(TraceFuzzTest, MutatedGeoImagesNeverCrash) {
   const std::string image = V2Image(GeoCorpus());
   nn::Rng rng(5);
   for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = image;
-    switch (rng.Int(0, 2)) {
-      case 0:
-        mutated = mutated.substr(
-            0, static_cast<size_t>(
-                   rng.Int(0, static_cast<int>(mutated.size()) - 1)));
-        break;
-      case 1: {
-        const int flips = rng.Int(1, 4);
-        for (int f = 0; f < flips; ++f) {
-          const int pos = rng.Int(0, static_cast<int>(mutated.size()) - 1);
-          mutated[pos] = static_cast<char>(rng.Int(0, 255));
-        }
-        break;
-      }
-      default: {
-        const int pos = rng.Int(0, static_cast<int>(mutated.size()));
-        std::string garbage(static_cast<size_t>(rng.Int(1, 32)), '\0');
-        for (char& c : garbage) c = static_cast<char>(rng.Int(0, 255));
-        mutated.insert(static_cast<size_t>(pos), garbage);
-        break;
-      }
-    }
-    RunV2(mutated);
+    RunV2(MutateImage(rng, image));
   }
   const std::string text = V1Image(GeoCorpus());
   nn::Rng text_rng(6);
@@ -328,30 +340,7 @@ TEST(TraceFuzzTest, CompressedImagesSurviveGenericMutations) {
     RunV2(image.substr(0, cut));
   }
   for (int trial = 0; trial < 300; ++trial) {
-    std::string mutated = image;
-    switch (rng.Int(0, 2)) {
-      case 0:
-        mutated = mutated.substr(
-            0, static_cast<size_t>(
-                   rng.Int(0, static_cast<int>(mutated.size()) - 1)));
-        break;
-      case 1: {
-        const int flips = rng.Int(1, 4);
-        for (int f = 0; f < flips; ++f) {
-          const int pos = rng.Int(0, static_cast<int>(mutated.size()) - 1);
-          mutated[pos] = static_cast<char>(rng.Int(0, 255));
-        }
-        break;
-      }
-      default: {
-        const int pos = rng.Int(0, static_cast<int>(mutated.size()));
-        std::string garbage(static_cast<size_t>(rng.Int(1, 32)), '\0');
-        for (char& c : garbage) c = static_cast<char>(rng.Int(0, 255));
-        mutated.insert(static_cast<size_t>(pos), garbage);
-        break;
-      }
-    }
-    RunV2(mutated);
+    RunV2(MutateImage(rng, image));
   }
 }
 
@@ -435,6 +424,129 @@ TEST(TraceFuzzTest, UnknownCompressionFlagBitsFailClosed) {
   loaded.clear();
   EXPECT_FALSE(LoadTracesV2(bad_header.data(), bad_header.size(), &loaded));
   EXPECT_TRUE(loaded.empty());
+}
+
+// ---- Random-access TraceReader over compressed images ----
+
+std::string RecordBytes(const TraceRecord& record) {
+  std::string bytes;
+  internal::AppendRecordBody(record, /*with_links=*/true, &bytes);
+  return bytes;
+}
+
+void WriteImage(const std::string& path, const std::string& image) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(image.data(), static_cast<std::streamsize>(image.size()));
+  ASSERT_TRUE(os.good());
+}
+
+// Opens `image` through the reader and reads every record twice, once via
+// Get and once via the handles Prefetch pins. Every outcome must be a null
+// reader, a false Get, or exactly the pristine record.
+void RunReader(const std::string& image,
+               const std::vector<TraceRecord>& pristine,
+               const std::string& path) {
+  WriteImage(path, image);
+  TraceReaderOptions options;
+  options.max_cached_blocks = 2;
+  const auto reader = TraceReader::Open(path, options);
+  if (reader == nullptr) return;
+  ASSERT_EQ(reader->num_records(), static_cast<int64_t>(pristine.size()));
+  std::vector<int64_t> ids(pristine.size());
+  std::iota(ids.begin(), ids.end(), int64_t{0});
+  const std::vector<TraceReader::BlockRef> blocks =
+      reader->Prefetch(ids.data(), ids.size());
+  for (int64_t i = 0; i < reader->num_records(); ++i) {
+    const std::string want = RecordBytes(pristine[static_cast<size_t>(i)]);
+    TraceRecord got;
+    const bool ok = reader->Get(i, &got);
+    TraceRecord pinned;
+    EXPECT_EQ(reader->Get(i, blocks[static_cast<size_t>(i)], &pinned), ok)
+        << "record " << i;
+    if (ok) {
+      EXPECT_EQ(RecordBytes(got), want) << "record " << i;
+      EXPECT_EQ(RecordBytes(pinned), want) << "record " << i;
+    }
+  }
+}
+
+TEST(TraceFuzzTest, TraceReaderSurvivesCompressedImageMutations) {
+  const std::string path = ::testing::TempDir() + "/fuzz_reader.bin";
+  for (const bool geo : {false, true}) {
+    SCOPED_TRACE(geo ? "geo" : "plain");
+    const std::vector<TraceRecord> records = geo ? GeoCorpus() : FuzzCorpus();
+    const std::string image = V2CImage(records);
+    RunReader(image, records, path);
+    nn::Rng rng(geo ? 9 : 8);
+    for (size_t cut = 0; cut <= 64 && cut < image.size(); ++cut) {
+      RunReader(image.substr(0, cut), records, path);
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      RunReader(MutateImage(rng, image), records, path);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A flipped payload byte passes Open (which checks the index, not block
+// payloads) and then fails every Get in that block's checksum — and only
+// in that block.
+TEST(TraceFuzzTest, TraceReaderFailsOnlyTheTamperedBlock) {
+  const std::vector<TraceRecord> records = FuzzCorpus();
+  const std::string image = V2CImage(records);
+  const std::vector<size_t> blocks = BlockOffsets(image);
+  ASSERT_GE(blocks.size(), 2u);
+  std::string mutated = image;
+  const size_t payload_byte = blocks[1] + internal::kBlockFrameBytes + 3;
+  mutated[payload_byte] = static_cast<char>(mutated[payload_byte] ^ 0x41);
+  const std::string path = ::testing::TempDir() + "/fuzz_reader_block.bin";
+  WriteImage(path, mutated);
+  const auto reader = TraceReader::Open(path);
+  ASSERT_NE(reader, nullptr);
+  const TraceBlockInfo& bad = reader->info().blocks[1];
+  for (int64_t i = 0; i < reader->num_records(); ++i) {
+    const bool in_bad = static_cast<uint64_t>(i) >= bad.first_record &&
+                        static_cast<uint64_t>(i) <
+                            bad.first_record + bad.record_count;
+    TraceRecord got;
+    EXPECT_EQ(reader->Get(i, &got), !in_bad) << "record " << i;
+  }
+  std::remove(path.c_str());
+}
+
+// The writer frames and checksums a record faithfully even when its
+// placement names a node the cluster lacks, so the block verifies and its
+// frame table tiles. Only that record's own parse fails: its neighbours in
+// the same block still read, the sequential loader stops at it, and
+// streaming training over it dies instead of silently dropping a sample.
+TEST(TraceFuzzTest, MalformedRecordFailsAloneInTraceReader) {
+  std::vector<TraceRecord> records = FuzzCorpus();
+  const size_t bad = 2;
+  records[bad].placement[0] = records[bad].cluster.num_nodes() + 3;
+  const std::string image = V2CImage(records, size_t{1} << 16);
+  const std::string path = ::testing::TempDir() + "/fuzz_reader_record.bin";
+  WriteImage(path, image);
+  const auto reader = TraceReader::Open(path);
+  ASSERT_NE(reader, nullptr);
+  ASSERT_EQ(reader->info().blocks.size(), 1u);
+  for (int64_t i = 0; i < reader->num_records(); ++i) {
+    TraceRecord got;
+    const bool ok = reader->Get(i, &got);
+    EXPECT_EQ(ok, static_cast<size_t>(i) != bad) << "record " << i;
+    if (ok) {
+      EXPECT_EQ(RecordBytes(got), RecordBytes(records[static_cast<size_t>(i)]));
+    }
+  }
+
+  std::vector<TraceRecord> loaded;
+  EXPECT_FALSE(LoadTracesV2(image.data(), image.size(), &loaded));
+  EXPECT_EQ(loaded.size(), bad);
+
+  std::vector<int64_t> all(records.size());
+  std::iota(all.begin(), all.end(), int64_t{0});
+  EXPECT_DEATH(StreamingCorpus(reader.get(), all, sim::Metric::kThroughput),
+               "COSTREAM_CHECK");
+  std::remove(path.c_str());
 }
 
 // A v1 file whose first bytes happen to be shorter than the v2 magic still
