@@ -4,10 +4,12 @@
 // trained parameters and optimizer placement choices are bitwise identical —
 // not merely close — at any thread count. ExecutionMode::kPerNode exists
 // precisely to back this contract.
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "core/ensemble.h"
 #include "core/trainer.h"
 #include "placement/enumeration.h"
@@ -38,6 +40,11 @@ void ExpectParamsIdentical(const std::vector<nn::Matrix>& a,
           << "param " << i << " entry " << j;
     }
   }
+}
+
+// FNV-1a 64 over the bit patterns of `values`, in order.
+uint64_t BitsDigest(const std::vector<double>& values) {
+  return common::Fnv1a64(values.data(), values.size() * sizeof(double));
 }
 
 core::CostModelConfig BaseConfig(core::MessagePassingMode mp,
@@ -76,6 +83,42 @@ TEST(BatchedEquivalenceTest, PredictionsBitwiseIdentical) {
       }
     }
   }
+}
+
+// Golden digests over both message-passing schemes x three featurization
+// modes x both heads: the raw readout output and the head-mapped prediction
+// of every graph. They pin the forward's arithmetic bit for bit, so any
+// rewrite of its schedule must leave both constants unchanged.
+TEST(BatchedEquivalenceTest, OutputsMatchGoldenDigests) {
+  const auto records = FixedCorpus(10, 71);
+  std::vector<double> raw;
+  std::vector<double> mapped;
+  for (const auto mp : {core::MessagePassingMode::kStaged,
+                        core::MessagePassingMode::kTraditional}) {
+    for (const auto feat : {core::FeaturizationMode::kFull,
+                            core::FeaturizationMode::kPlacementOnly,
+                            core::FeaturizationMode::kOperatorsOnly}) {
+      for (const auto head :
+           {core::HeadKind::kRegression, core::HeadKind::kClassification}) {
+        core::CostModelConfig config = BaseConfig(mp, feat);
+        config.head = head;
+        const core::CostModel model(config);
+        nn::Tape tape;
+        for (const auto& record : records) {
+          const core::JointGraph graph = core::BuildJointGraph(
+              record.query, record.cluster, record.placement, feat);
+          raw.push_back(tape.value(model.Forward(tape, graph))(0, 0));
+          tape.Reset();
+          mapped.push_back(head == core::HeadKind::kRegression
+                               ? model.PredictRegression(graph)
+                               : model.PredictProbability(graph));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(raw.size(), 2u * 3u * 2u * records.size());
+  EXPECT_EQ(BitsDigest(raw), 0xdcc866793131da93ull) << std::hex << BitsDigest(raw);
+  EXPECT_EQ(BitsDigest(mapped), 0x5782b59739b9eff9ull) << std::hex << BitsDigest(mapped);
 }
 
 TEST(BatchedEquivalenceTest, GradientsBitwiseIdentical) {

@@ -7,13 +7,17 @@
 //    independent and agrees with the full-precision path on most decisions,
 //  * the candidate cache actually hits (duplicate co-location patterns and
 //    feature-identical nodes are common in enumeration).
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "core/trainer.h"
 #include "obs/metrics.h"
+#include "placement/enumeration.h"
+#include "placement/rank_scorer.h"
 #include "service/placement_service.h"
 #include "service/scoring_engine.h"
 #include "workload/corpus.h"
@@ -31,7 +35,7 @@ sim::Cluster FixtureCluster() {
   return cluster;
 }
 
-core::Ensemble TinyThroughputEnsemble() {
+core::Ensemble TinyThroughputEnsemble(int members = 1) {
   workload::CorpusConfig cc;
   cc.num_queries = 50;
   cc.seed = 31;
@@ -39,7 +43,7 @@ core::Ensemble TinyThroughputEnsemble() {
   const auto records = workload::BuildCorpus(cc);
   core::CostModelConfig config;
   config.hidden_dim = 8;
-  core::Ensemble ensemble(config, 1);
+  core::Ensemble ensemble(config, members);
   auto samples = workload::ToTrainSamples(records, sim::Metric::kThroughput);
   core::TrainConfig tc;
   tc.epochs = 3;
@@ -273,6 +277,57 @@ TEST(ServiceFastPathTest, QuantizedRankingReducesFullScores) {
   EXPECT_GT(rescored_delta, 0u);
   // Ranking looked at every candidate; full precision touched only top-k's.
   EXPECT_LT(rescored_delta, ranked_delta);
+}
+
+// Golden digests of the quantized ranker's costs over one three-request
+// batch of same-structure queries (one generated query plus two variants
+// with rewritten parallelism features), for both weight kinds. Ranks are
+// bit-equal across kernel tiers, so the digests pin the ranker's schedule
+// and arithmetic on every machine.
+TEST(ServiceFastPathTest, RankBatchCostsMatchGoldenDigests) {
+  const core::Ensemble target = TinyThroughputEnsemble(2);
+  const sim::Cluster cluster = FixtureCluster();
+  std::vector<dsps::QueryGraph> queries(3, ScriptQueries(1)[0]);
+  const int n = queries[0].num_operators();
+  ASSERT_GE(n, 3);
+  queries[1].mutable_op(n / 2).parallelism = 3;
+  queries[2].mutable_op(n - 1).parallelism = 5;
+  queries[2].mutable_op(0).parallelism = 2;
+
+  std::vector<std::vector<sim::Placement>> candidates;
+  for (size_t r = 0; r < queries.size(); ++r) {
+    placement::EnumerationConfig enumeration;
+    enumeration.num_candidates = 10;
+    enumeration.seed = 40 + r;
+    candidates.push_back(
+        placement::EnumerateCandidates(queries[r], cluster, enumeration));
+  }
+
+  const auto digest = [&](nn::QuantKind kind) {
+    const placement::QuantizedEnsemble weights(target, kind);
+    placement::QuantizedRanker ranker(queries[0], cluster, &target, &weights);
+    std::vector<placement::QuantizedRanker::Request> requests(queries.size());
+    for (size_t r = 0; r < queries.size(); ++r) {
+      requests[r].query_slot =
+          r == 0 ? 0 : ranker.AddQuery(queries[r]);
+      requests[r].candidates = &candidates[r];
+    }
+    std::vector<std::vector<double>> costs;
+    ranker.RankBatch(requests, costs);
+    std::vector<double> flat;
+    for (size_t r = 0; r < costs.size(); ++r) {
+      EXPECT_EQ(costs[r].size(), candidates[r].size());
+      flat.insert(flat.end(), costs[r].begin(), costs[r].end());
+    }
+    // A digest over constant costs would pin nothing.
+    EXPECT_NE(*std::min_element(flat.begin(), flat.end()),
+              *std::max_element(flat.begin(), flat.end()));
+    return common::Fnv1a64(flat.data(), flat.size() * sizeof(double));
+  };
+  const uint64_t int8 = digest(nn::QuantKind::kInt8);
+  const uint64_t bf16 = digest(nn::QuantKind::kBf16);
+  EXPECT_EQ(int8, 0x402a8069d9846c84ull) << std::hex << int8;
+  EXPECT_EQ(bf16, 0x7b35bbe171a26895ull) << std::hex << bf16;
 }
 
 // --- Rank-widening budget boundary -------------------------------------------
