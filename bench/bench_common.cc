@@ -238,7 +238,7 @@ eval::QErrorSummary EvalGnnRegression(
     const core::CostModel& model,
     const std::vector<workload::TraceRecord>& test, sim::Metric metric) {
   return EvalRegression(test, metric, [&](const workload::TraceRecord& r) {
-    return model.PredictRegression(core::BuildJointGraph(
+    return model.Predict(core::BuildJointGraph(
         r.query, r.cluster, r.placement, model.config().featurization));
   });
 }
@@ -257,7 +257,7 @@ double EvalGnnBalancedAccuracy(const core::CostModel& model,
                                sim::Metric metric) {
   return EvalBalancedAccuracy(
       test, metric, [&](const workload::TraceRecord& r) {
-        return model.PredictProbability(core::BuildJointGraph(
+        return model.Predict(core::BuildJointGraph(
                    r.query, r.cluster, r.placement,
                    model.config().featurization)) >= 0.5;
       });

@@ -75,38 +75,30 @@ void BM_BuildJointGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildJointGraph);
 
-// Single-sample GNN inference with a reused (arena) tape. Arg 0 runs the
-// batched production path, Arg 1 the per-node reference path; both produce
-// bitwise-identical predictions, so the samples/s ratio is exactly the
-// speedup of the stage-level GEMM rewrite.
+// Single-sample GNN inference with a reused (arena) tape. The lone Arg(0)
+// keeps the benchmark's historical name (BM_GnnInference/0).
 void BM_GnnInference(benchmark::State& state) {
   const auto record = MakeRecord(workload::QueryTemplate::kThreeWayJoin, 3);
   const core::JointGraph graph = core::BuildJointGraph(
       record.query, record.cluster, record.placement);
-  core::CostModelConfig config;
-  config.execution = state.range(0) == 0 ? core::ExecutionMode::kBatched
-                                         : core::ExecutionMode::kPerNode;
-  core::CostModel model(config);
+  core::CostModel model(core::CostModelConfig{});
   nn::Tape tape;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.PredictRegression(graph, tape));
+    benchmark::DoNotOptimize(model.Predict(graph, &tape));
   }
   state.counters["samples/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GnnInference)->Arg(0)->Arg(1);
+BENCHMARK(BM_GnnInference)->Arg(0);
 
-// Forward + backward of one training sample. Arg 0: batched, Arg 1: per-node.
+// Forward + backward of one training sample (Arg(0) as for BM_GnnInference).
 void BM_GnnTrainStep(benchmark::State& state) {
   const auto record = MakeRecord(workload::QueryTemplate::kThreeWayJoin, 4);
   core::TrainSample sample;
   sample.graph = core::BuildJointGraph(record.query, record.cluster,
                                        record.placement);
   sample.regression_target = 123.0;
-  core::CostModelConfig config;
-  config.execution = state.range(0) == 0 ? core::ExecutionMode::kBatched
-                                         : core::ExecutionMode::kPerNode;
-  core::CostModel model(config);
+  core::CostModel model(core::CostModelConfig{});
   nn::Tape tape;
   for (auto _ : state) {
     tape.Reset();
@@ -117,7 +109,7 @@ void BM_GnnTrainStep(benchmark::State& state) {
   state.counters["samples/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GnnTrainStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_GnnTrainStep)->Arg(0);
 
 // Thread scaling of the data-parallel trainer. Reports samples/s; results
 // are bitwise-identical across thread counts, so the Arg sweep measures

@@ -75,7 +75,7 @@ int main() {
 
   const core::JointGraph graph =
       core::BuildJointGraph(query, cluster, placement);
-  const double predicted = model.PredictRegression(graph);
+  const double predicted = model.Predict(graph);
   std::printf("predicted throughput: %.2f tuples/s (executed: %.2f)\n",
               predicted, executed.metrics.throughput);
   std::printf(

@@ -517,11 +517,13 @@ echo "=== AddressSanitizer fast-path sweep ==="
 # The quantized kernels hand-index packed bf16/int8 weight blocks with raw
 # pointers and the scoring engine pools workspaces across requests, so the
 # kernel-dispatch parity suite, the quantization suite, and the fast-path
-# agreement suite each get an ASan pass too.
-cmake --build build-asan -j "$JOBS" \
-  --target nn_kernel_dispatch_test nn_quantized_test service_fastpath_test
-ctest --test-dir build-asan \
-  -R 'nn_kernel_dispatch_test|nn_quantized_test|service_fastpath_test' \
+# agreement suite each get an ASan pass too. The batched-equivalence suite
+# rides along: it holds the only per-node oracle and drives the scorer's
+# cached encodings and the forward plan's indices the quantized ranker reads.
+cmake --build build-asan -j "$JOBS" --target nn_kernel_dispatch_test \
+  nn_quantized_test service_fastpath_test core_batched_equivalence_test
+ctest --test-dir build-asan -R \
+  'nn_kernel_dispatch_test|nn_quantized_test|service_fastpath_test|core_batched_equivalence_test' \
   --output-on-failure
 
 echo "=== AddressSanitizer geo / per-instance DES sweep ==="

@@ -24,15 +24,6 @@ void Ensemble::set_num_threads(int num_threads) {
                       : nullptr;
 }
 
-void Ensemble::PrepareScratch(PredictionScratch& scratch) const {
-  if (scratch.tapes.size() != members_.size()) {
-    scratch.tapes = std::vector<nn::Tape>(members_.size());
-  }
-  if (scratch.outputs.size() != members_.size()) {
-    scratch.outputs.assign(members_.size(), 0.0);
-  }
-}
-
 void Ensemble::ForEachMember(const std::function<void(int)>& fn) const {
   if (pool_ != nullptr) {
     pool_->ParallelFor(size(), fn);
@@ -60,22 +51,42 @@ std::vector<TrainResult> Ensemble::Train(const std::vector<TrainSample>& train,
   return results;
 }
 
-double Ensemble::PredictRegression(const JointGraph& graph) const {
-  std::vector<double> predictions(members_.size(), 0.0);
-  ForEachMember(
-      [&](int i) { predictions[i] = members_[i]->PredictRegression(graph); });
+void Ensemble::PredictMembers(const JointGraph& graph,
+                              PredictionScratch& scratch,
+                              const ForwardPlan* plan,
+                              const std::vector<nn::Matrix>* encoded) const {
+  if (scratch.tapes.size() != members_.size()) {
+    scratch.tapes = std::vector<nn::Tape>(members_.size());
+  }
+  scratch.outputs.resize(members_.size());
+  ForEachMember([&](int i) {
+    scratch.outputs[i] =
+        members_[i]->Predict(graph, &scratch.tapes[i], plan,
+                             encoded != nullptr ? &(*encoded)[i] : nullptr);
+  });
+}
+
+double Ensemble::Predict(const JointGraph& graph, PredictionScratch* scratch,
+                         const ForwardPlan* plan,
+                         const std::vector<nn::Matrix>* encoded) const {
+  PredictionScratch local;
+  PredictionScratch& s = scratch != nullptr ? *scratch : local;
+  PredictMembers(graph, s, plan, encoded);
   double total = 0.0;
-  for (double p : predictions) total += p;
+  for (double p : s.outputs) total += p;
   return total / members_.size();
 }
 
-double Ensemble::PredictProbability(const JointGraph& graph) const {
-  std::vector<double> predictions(members_.size(), 0.0);
-  ForEachMember(
-      [&](int i) { predictions[i] = members_[i]->PredictProbability(graph); });
-  double total = 0.0;
-  for (double p : predictions) total += p;
-  return total / members_.size();
+bool Ensemble::PredictBinary(const JointGraph& graph,
+                             PredictionScratch* scratch,
+                             const ForwardPlan* plan,
+                             const std::vector<nn::Matrix>* encoded) const {
+  PredictionScratch local;
+  PredictionScratch& s = scratch != nullptr ? *scratch : local;
+  PredictMembers(graph, s, plan, encoded);
+  int votes = 0;
+  for (double p : s.outputs) votes += p >= 0.5 ? 1 : 0;
+  return votes * 2 > size();
 }
 
 bool Ensemble::Save(const std::string& prefix) const {
@@ -94,86 +105,6 @@ bool Ensemble::Load(const std::string& prefix) {
     }
   }
   return true;
-}
-
-bool Ensemble::PredictBinary(const JointGraph& graph) const {
-  std::vector<char> positive(members_.size(), 0);
-  ForEachMember([&](int i) {
-    positive[i] = members_[i]->PredictProbability(graph) >= 0.5 ? 1 : 0;
-  });
-  int votes = 0;
-  for (char v : positive) votes += v;
-  return votes * 2 > size();
-}
-
-double Ensemble::PredictRegression(const JointGraph& graph,
-                                   PredictionScratch& scratch) const {
-  PrepareScratch(scratch);
-  ForEachMember([&](int i) {
-    scratch.outputs[i] =
-        members_[i]->PredictRegression(graph, scratch.tapes[i]);
-  });
-  double total = 0.0;
-  for (double p : scratch.outputs) total += p;
-  return total / members_.size();
-}
-
-double Ensemble::PredictProbability(const JointGraph& graph,
-                                    PredictionScratch& scratch) const {
-  PrepareScratch(scratch);
-  ForEachMember([&](int i) {
-    scratch.outputs[i] =
-        members_[i]->PredictProbability(graph, scratch.tapes[i]);
-  });
-  double total = 0.0;
-  for (double p : scratch.outputs) total += p;
-  return total / members_.size();
-}
-
-bool Ensemble::PredictBinary(const JointGraph& graph,
-                             PredictionScratch& scratch) const {
-  PrepareScratch(scratch);
-  ForEachMember([&](int i) {
-    scratch.outputs[i] =
-        members_[i]->PredictProbability(graph, scratch.tapes[i]) >= 0.5 ? 1.0
-                                                                        : 0.0;
-  });
-  int votes = 0;
-  for (double v : scratch.outputs) votes += v == 1.0 ? 1 : 0;
-  return votes * 2 > size();
-}
-
-double Ensemble::PredictRegression(const JointGraph& graph,
-                                   PredictionScratch& scratch,
-                                   const ForwardPlan& plan,
-                                   const std::vector<nn::Matrix>* encoded) const {
-  PrepareScratch(scratch);
-  ForEachMember([&](int i) {
-    scratch.outputs[i] = members_[i]->PredictRegression(
-        graph, scratch.tapes[i], plan,
-        encoded != nullptr ? &(*encoded)[i] : nullptr);
-  });
-  double total = 0.0;
-  for (double p : scratch.outputs) total += p;
-  return total / members_.size();
-}
-
-bool Ensemble::PredictBinary(const JointGraph& graph,
-                             PredictionScratch& scratch,
-                             const ForwardPlan& plan,
-                             const std::vector<nn::Matrix>* encoded) const {
-  PrepareScratch(scratch);
-  ForEachMember([&](int i) {
-    scratch.outputs[i] =
-        members_[i]->PredictProbability(
-            graph, scratch.tapes[i], plan,
-            encoded != nullptr ? &(*encoded)[i] : nullptr) >= 0.5
-            ? 1.0
-            : 0.0;
-  });
-  int votes = 0;
-  for (double v : scratch.outputs) votes += v == 1.0 ? 1 : 0;
-  return votes * 2 > size();
 }
 
 }  // namespace costream::core

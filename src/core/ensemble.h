@@ -30,46 +30,39 @@ class Ensemble {
                                  const std::vector<TrainSample>& val,
                                  const TrainConfig& config);
 
-  // Evaluates Predict* members on a persistent worker pool (<= 0: all
-  // hardware threads; 1 disposes the pool and restores serial prediction).
+  // Evaluates members on a persistent worker pool (<= 0: all hardware
+  // threads; 1 disposes the pool and restores serial prediction).
   // Per-member outputs are reduced in member order, so predictions are
   // bitwise-identical to the serial path.
   void set_num_threads(int num_threads);
 
-  // Mean of the members' regression predictions.
-  double PredictRegression(const JointGraph& graph) const;
-  // Mean of the members' probabilities.
-  double PredictProbability(const JointGraph& graph) const;
-  // Majority vote over the members' binary predictions.
-  bool PredictBinary(const JointGraph& graph) const;
-
   // Reusable prediction state for hot scoring loops: one tape per member
   // (reset and refilled each call) plus the per-member output slots, so
   // steady-state prediction performs no allocations. A scratch belongs to
-  // one caller at a time — concurrent predictions need separate scratches —
-  // and produces bitwise-identical results to the scratch-free overloads.
+  // one caller at a time — concurrent predictions need separate scratches.
   struct PredictionScratch {
     std::vector<nn::Tape> tapes;
     std::vector<double> outputs;
   };
-  double PredictRegression(const JointGraph& graph,
-                           PredictionScratch& scratch) const;
-  double PredictProbability(const JointGraph& graph,
-                            PredictionScratch& scratch) const;
-  bool PredictBinary(const JointGraph& graph,
-                     PredictionScratch& scratch) const;
 
-  // Plan-reusing variants: `plan` must have been built (by any member — all
-  // members share one architecture) for the current structure of `graph`.
-  // The placement scorer builds it once per candidate so the ensemble's
-  // forwards skip the per-call plan derivation entirely. `encoded`, when
-  // non-null, holds one precomputed node-encoding matrix per member (see
-  // CostModel::Forward); forwards then skip the encoder stage as well.
-  double PredictRegression(const JointGraph& graph, PredictionScratch& scratch,
-                           const ForwardPlan& plan,
-                           const std::vector<nn::Matrix>* encoded = nullptr) const;
-  bool PredictBinary(const JointGraph& graph, PredictionScratch& scratch,
-                     const ForwardPlan& plan,
+  // Mean of the members' CostModel::Predict outputs: costs for regression
+  // heads, probabilities for classification heads.
+  //
+  // The optional arguments serve hot loops and change no bits. `scratch`
+  // is reused instead of a call-local one. `plan` must have been built (by
+  // any member — all members share one architecture) for the current
+  // structure of `graph`; the placement scorer builds it once per candidate
+  // so the members' forwards skip the per-call plan derivation. `encoded`,
+  // when non-null, holds one precomputed node-encoding matrix per member
+  // (see CostModel::Forward); forwards then skip the encoder stage as well.
+  double Predict(const JointGraph& graph, PredictionScratch* scratch = nullptr,
+                 const ForwardPlan* plan = nullptr,
+                 const std::vector<nn::Matrix>* encoded = nullptr) const;
+  // Majority vote of a classification ensemble: true when more than half of
+  // the members' probabilities are >= 0.5. Optional arguments as in Predict.
+  bool PredictBinary(const JointGraph& graph,
+                     PredictionScratch* scratch = nullptr,
+                     const ForwardPlan* plan = nullptr,
                      const std::vector<nn::Matrix>* encoded = nullptr) const;
 
   // Persists / restores all members. Paths are derived from `prefix` as
@@ -89,8 +82,11 @@ class Ensemble {
  private:
   // Runs fn(i) for every member, on the prediction pool when enabled.
   void ForEachMember(const std::function<void(int)>& fn) const;
-  // Sizes `scratch` for this ensemble (no-op once warmed up).
-  void PrepareScratch(PredictionScratch& scratch) const;
+  // Sizes `scratch` for this ensemble (no-op once warmed up) and fills its
+  // output slots with every member's prediction, in member order.
+  void PredictMembers(const JointGraph& graph, PredictionScratch& scratch,
+                      const ForwardPlan* plan,
+                      const std::vector<nn::Matrix>* encoded) const;
 
   std::vector<std::unique_ptr<CostModel>> members_;
   std::unique_ptr<common::ThreadPool> pool_;  // null: serial prediction

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
 #include "nn/serialize.h"
@@ -10,55 +9,6 @@
 namespace costream::core {
 
 namespace {
-
-nn::Matrix RowVector(const std::vector<double>& values) {
-  return nn::Matrix::Row(values);
-}
-
-// Incoming dataflow neighbours per operator, in dataflow-edge order.
-std::vector<std::vector<int>> InLists(const JointGraph& graph) {
-  std::vector<std::vector<int>> in_lists(graph.num_operator_nodes);
-  for (const auto& [from, to] : graph.dataflow_edges) {
-    in_lists[to].push_back(from);
-  }
-  return in_lists;
-}
-
-// Topological waves of the dataflow stage: wave L holds the operators whose
-// longest upstream chain has length L (wave 0 = sources, never updated).
-// Every input of a wave-L node was updated in an earlier wave, so all nodes
-// of one wave can be processed as a single batch; iterating waves in level
-// order yields exactly the same values as the original topological-order
-// walk. Within a wave, nodes keep their topological-order position.
-std::vector<std::vector<int>> DataflowWaves(
-    const JointGraph& graph, const std::vector<std::vector<int>>& in_lists) {
-  std::vector<int> level(graph.num_operator_nodes, 0);
-  int max_level = 0;
-  for (int v : graph.topo_order) {
-    int lv = 0;
-    for (int u : in_lists[v]) lv = std::max(lv, level[u] + 1);
-    level[v] = lv;
-    max_level = std::max(max_level, lv);
-  }
-  std::vector<std::vector<int>> waves(max_level + 1);
-  for (int v : graph.topo_order) waves[level[v]].push_back(v);
-  return waves;
-}
-
-// Undirected neighbourhood over data-flow and placement edges (traditional
-// message passing), neighbours per node in edge-scan order.
-std::vector<std::vector<int>> NeighborLists(const JointGraph& graph) {
-  std::vector<std::vector<int>> neighbors(graph.nodes.size());
-  for (const auto& [from, to] : graph.dataflow_edges) {
-    neighbors[from].push_back(to);
-    neighbors[to].push_back(from);
-  }
-  for (const auto& [op, host] : graph.placement_edges) {
-    neighbors[op].push_back(host);
-    neighbors[host].push_back(op);
-  }
-  return neighbors;
-}
 
 // Flattens `lists` restricted to `rows` into CSR form for Tape::SegmentSum.
 void BuildCsr(const std::vector<int>& rows,
@@ -77,8 +27,9 @@ void BuildCsr(const std::vector<int>& rows,
   }
 }
 
-// In-place variants of the helpers above, used by BuildForwardPlan so that
-// per-candidate plan rebuilds reuse vector capacity.
+// Incoming dataflow neighbours per operator, in dataflow-edge order. Like
+// the helpers below it fills its output in place, so per-candidate plan
+// rebuilds reuse vector capacity.
 void InListsInto(const JointGraph& graph,
                  std::vector<std::vector<int>>& in_lists) {
   in_lists.resize(graph.num_operator_nodes);
@@ -88,6 +39,12 @@ void InListsInto(const JointGraph& graph,
   }
 }
 
+// Topological waves of the dataflow stage: wave L holds the operators whose
+// longest upstream chain has length L (wave 0 = sources, never updated).
+// Every input of a wave-L node was updated in an earlier wave, so all nodes
+// of one wave can be processed as a single batch; iterating waves in level
+// order yields exactly the same values as a topological-order walk. Within
+// a wave, nodes keep their topological-order position.
 void DataflowWavesInto(const JointGraph& graph,
                        const std::vector<std::vector<int>>& in_lists,
                        std::vector<int>& level,
@@ -105,6 +62,8 @@ void DataflowWavesInto(const JointGraph& graph,
   for (int v : graph.topo_order) waves[level[v]].push_back(v);
 }
 
+// Undirected neighbourhood over data-flow and placement edges (traditional
+// message passing), neighbours per node in edge-scan order.
 void NeighborListsInto(const JointGraph& graph,
                        std::vector<std::vector<int>>& neighbors) {
   neighbors.resize(graph.nodes.size());
@@ -172,110 +131,6 @@ CostModel::CostModel(const CostModelConfig& config) : config_(config) {
   for (nn::Mlp& m : updates_) m.CollectParameters(params_);
   readout_[0].CollectParameters(params_);
 }
-
-nn::Var CostModel::Forward(nn::Tape& tape, const JointGraph& graph) const {
-  COSTREAM_CHECK(!graph.nodes.empty());
-  if (config_.execution == ExecutionMode::kBatched) {
-    // One plan per thread, rebuilt per graph but reusing capacity: callers
-    // without a long-lived plan (training loops) still avoid reallocating
-    // the index vectors every forward.
-    static thread_local ForwardPlan plan;
-    BuildForwardPlan(graph, plan);
-    return Forward(tape, graph, plan);
-  }
-  std::vector<nn::Var> states(graph.nodes.size());
-  for (size_t v = 0; v < graph.nodes.size(); ++v) {
-    const JointNode& node = graph.nodes[v];
-    nn::Var x = tape.Input(RowVector(node.features));
-    states[v] = encoders_[static_cast<int>(node.kind)].Apply(tape, x);
-  }
-  if (config_.message_passing == MessagePassingMode::kStaged) {
-    return ForwardStaged(tape, graph, states);
-  }
-  return ForwardTraditional(tape, graph, states);
-}
-
-// --- Per-node reference path ------------------------------------------------
-
-nn::Var CostModel::ForwardStaged(nn::Tape& tape, const JointGraph& graph,
-                                 std::vector<nn::Var>& states) const {
-  const auto update = [&](NodeKind kind, const std::vector<nn::Var>& children,
-                          nn::Var own) {
-    nn::Var sum = tape.AddN(children);
-    nn::Var cat = tape.ConcatCols(sum, own);
-    return updates_[static_cast<int>(kind)].Apply(tape, cat);
-  };
-
-  if (graph.num_host_nodes > 0) {
-    // Stage 1 (OPS -> HW): inform hosts about the operators they execute;
-    // co-located operators send multiple messages to the same host.
-    std::vector<std::vector<nn::Var>> host_children(graph.nodes.size());
-    for (const auto& [op, host] : graph.placement_edges) {
-      host_children[host].push_back(states[op]);
-    }
-    for (size_t v = graph.num_operator_nodes; v < graph.nodes.size(); ++v) {
-      COSTREAM_CHECK(!host_children[v].empty());
-      states[v] = update(NodeKind::kHost, host_children[v], states[v]);
-    }
-    // Stage 2 (HW -> OPS): inform operators about the host they run on.
-    for (const auto& [op, host] : graph.placement_edges) {
-      states[op] =
-          update(graph.nodes[op].kind, {states[host]}, states[op]);
-    }
-  }
-  // Stage 3 (SOURCES -> OPS): propagate along the data flow towards the
-  // sink, wave by wave. A node's inputs always sit in strictly earlier
-  // waves, so this produces the same values as a plain topological walk
-  // while lining the tape up with the batched wave execution.
-  const std::vector<std::vector<int>> in_lists = InLists(graph);
-  const std::vector<std::vector<int>> waves = DataflowWaves(graph, in_lists);
-  for (size_t level = 1; level < waves.size(); ++level) {
-    for (int v : waves[level]) {
-      std::vector<nn::Var> children;
-      children.reserve(in_lists[v].size());
-      for (int u : in_lists[v]) children.push_back(states[u]);
-      states[v] = update(graph.nodes[v].kind, children, states[v]);
-    }
-  }
-  // Final readout: sum every node state and predict the cost.
-  nn::Var total = tape.AddN(states);
-  return readout_[0].Apply(tape, total);
-}
-
-nn::Var CostModel::ForwardTraditional(nn::Tape& tape, const JointGraph& graph,
-                                      std::vector<nn::Var>& states) const {
-  const std::vector<std::vector<int>> neighbors = NeighborLists(graph);
-  for (int iter = 0; iter < config_.traditional_iterations; ++iter) {
-    // Phase-split per iteration (all sums, then all concats, then all update
-    // MLPs) so the reverse sweep credits every shared state with its "own"
-    // contributions before any neighbour-sum contributions — the same
-    // accumulation order the batched gather/segment-sum backward uses.
-    std::vector<nn::Var> sums(graph.nodes.size());
-    std::vector<nn::Var> cats(graph.nodes.size());
-    std::vector<nn::Var> next = states;
-    for (size_t v = 0; v < graph.nodes.size(); ++v) {
-      if (neighbors[v].empty()) continue;
-      std::vector<nn::Var> children;
-      children.reserve(neighbors[v].size());
-      for (int u : neighbors[v]) children.push_back(states[u]);
-      sums[v] = tape.AddN(children);
-    }
-    for (size_t v = 0; v < graph.nodes.size(); ++v) {
-      if (neighbors[v].empty()) continue;
-      cats[v] = tape.ConcatCols(sums[v], states[v]);
-    }
-    for (size_t v = 0; v < graph.nodes.size(); ++v) {
-      if (neighbors[v].empty()) continue;
-      next[v] =
-          updates_[static_cast<int>(graph.nodes[v].kind)].Apply(tape, cats[v]);
-    }
-    states = std::move(next);
-  }
-  nn::Var total = tape.AddN(states);
-  return readout_[0].Apply(tape, total);
-}
-
-// --- Batched path -----------------------------------------------------------
 
 void CostModel::BuildForwardPlan(const JointGraph& graph,
                                  ForwardPlan& plan) const {
@@ -364,16 +219,21 @@ void CostModel::BuildForwardPlan(const JointGraph& graph,
 }
 
 nn::Var CostModel::Forward(nn::Tape& tape, const JointGraph& graph,
-                           const ForwardPlan& plan,
+                           const ForwardPlan* plan,
                            const nn::Matrix* encoded) const {
-  if (config_.execution != ExecutionMode::kBatched) {
-    return Forward(tape, graph);  // the reference path plans per node
-  }
   COSTREAM_CHECK(!graph.nodes.empty());
-  COSTREAM_DCHECK(plan.ready);
+  if (plan == nullptr) {
+    // One plan per thread, rebuilt per graph but reusing capacity: callers
+    // without a long-lived plan (training loops) still avoid reallocating
+    // the index vectors every forward.
+    static thread_local ForwardPlan local_plan;
+    BuildForwardPlan(graph, local_plan);
+    plan = &local_plan;
+  }
+  COSTREAM_DCHECK(plan->ready);
   nn::Var S = encoded != nullptr ? tape.Input(*encoded)
-                                 : EncodeBatched(tape, graph, plan);
-  for (const ForwardPlan::Stage& stage : plan.stages) {
+                                 : EncodeBatched(tape, graph, *plan);
+  for (const ForwardPlan::Stage& stage : plan->stages) {
     for (int iter = 0; iter < stage.repeat; ++iter) {
       nn::Var msg = stage.gather
                         ? tape.RowGather(S, stage.gather_rows)
@@ -433,50 +293,16 @@ void CostModel::EncodeFeatures(
   out.CopyFrom(tape.value(hk));
 }
 
-// --- Prediction helpers -----------------------------------------------------
-
-double CostModel::PredictRegression(const JointGraph& graph) const {
-  nn::Tape tape;
-  return PredictRegression(graph, tape);
-}
-
-double CostModel::PredictProbability(const JointGraph& graph) const {
-  nn::Tape tape;
-  return PredictProbability(graph, tape);
-}
-
-double CostModel::PredictRegression(const JointGraph& graph,
-                                    nn::Tape& tape) const {
-  tape.Reset();
-  nn::Var out = Forward(tape, graph);
-  const double log_value = std::clamp(tape.value(out)(0, 0), -10.0, 30.0);
-  return std::max(std::expm1(log_value), 0.0);
-}
-
-double CostModel::PredictProbability(const JointGraph& graph,
-                                     nn::Tape& tape) const {
-  tape.Reset();
-  nn::Var out = Forward(tape, graph);
-  const double z = tape.value(out)(0, 0);
-  return z >= 0.0 ? 1.0 / (1.0 + std::exp(-z))
-                  : std::exp(z) / (1.0 + std::exp(z));
-}
-
-double CostModel::PredictRegression(const JointGraph& graph, nn::Tape& tape,
-                                    const ForwardPlan& plan,
-                                    const nn::Matrix* encoded) const {
-  tape.Reset();
-  nn::Var out = Forward(tape, graph, plan, encoded);
-  const double log_value = std::clamp(tape.value(out)(0, 0), -10.0, 30.0);
-  return std::max(std::expm1(log_value), 0.0);
-}
-
-double CostModel::PredictProbability(const JointGraph& graph, nn::Tape& tape,
-                                     const ForwardPlan& plan,
-                                     const nn::Matrix* encoded) const {
-  tape.Reset();
-  nn::Var out = Forward(tape, graph, plan, encoded);
-  const double z = tape.value(out)(0, 0);
+double CostModel::Predict(const JointGraph& graph, nn::Tape* tape,
+                          const ForwardPlan* plan,
+                          const nn::Matrix* encoded) const {
+  nn::Tape local;
+  nn::Tape& t = tape != nullptr ? *tape : local;
+  t.Reset();
+  const double z = t.value(Forward(t, graph, plan, encoded))(0, 0);
+  if (config_.head == HeadKind::kRegression) {
+    return std::max(std::expm1(std::clamp(z, -10.0, 30.0)), 0.0);
+  }
   return z >= 0.0 ? 1.0 / (1.0 + std::exp(-z))
                   : std::exp(z) / (1.0 + std::exp(z));
 }

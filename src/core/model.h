@@ -27,24 +27,11 @@ enum class HeadKind {
   kClassification,
 };
 
-// How the forward pass schedules the message-passing math. kBatched runs
-// every stage as a handful of N x d tape ops (one GEMM per update MLP layer
-// per stage); kPerNode issues one 1 x d op chain per graph node. Both
-// produce bitwise-identical values and gradients — the batched kernels
-// accumulate in the exact index order of the per-node reverse sweep (see
-// src/nn/autograd.cc) — so kPerNode exists as the reference implementation
-// for the equivalence tests.
-enum class ExecutionMode {
-  kBatched,
-  kPerNode,
-};
-
 struct CostModelConfig {
   int hidden_dim = 32;
   FeaturizationMode featurization = FeaturizationMode::kFull;
   MessagePassingMode message_passing = MessagePassingMode::kStaged;
   HeadKind head = HeadKind::kRegression;
-  ExecutionMode execution = ExecutionMode::kBatched;
   // Neighbourhood iterations of the traditional scheme.
   int traditional_iterations = 3;
   // Initialization seed (ensemble members differ only in this; paper
@@ -52,8 +39,8 @@ struct CostModelConfig {
   uint64_t seed = 1;
 };
 
-// A reusable execution plan for the batched forward pass: every index vector
-// the batched scheduler needs — per-kind encoder rows, per-stage gather /
+// A reusable execution plan for the forward pass: every index vector the
+// batched scheduler needs — per-kind encoder rows, per-stage gather /
 // segment-sum indices and per-kind update slices — derived once from a
 // graph's structure. The plan depends on node kinds and edges but never on
 // feature values, so hot loops (the placement scorer) rebuild it once per
@@ -109,24 +96,24 @@ class CostModel {
   CostModel(const CostModel&) = delete;
   CostModel& operator=(const CostModel&) = delete;
 
-  // Builds the forward computation on `tape`; returns the scalar output
-  // (log-cost for regression heads, logit for classification heads).
-  nn::Var Forward(nn::Tape& tape, const JointGraph& graph) const;
-
-  // Derives the batched execution plan for `graph` in place, reusing the
-  // plan's capacity. Must be re-run whenever the graph's structure (kinds or
-  // edges) changes; pure feature rewrites keep a plan valid.
+  // Derives the execution plan for `graph` in place, reusing the plan's
+  // capacity. Must be re-run whenever the graph's structure (kinds or edges)
+  // changes; pure feature rewrites keep a plan valid.
   void BuildForwardPlan(const JointGraph& graph, ForwardPlan& plan) const;
 
-  // Forward with a caller-owned plan (built by BuildForwardPlan for this
-  // graph's structure). The per-node reference path ignores the plan. When
-  // `encoded` is non-null it must hold this model's encoder output for every
-  // node of `graph` (row v = encoder_kind(features(v))); the forward then
-  // starts message passing from it instead of re-encoding. Because every
-  // encode op treats rows independently, a cached encoding is bitwise
-  // identical to the in-forward one, so this changes no prediction bits.
+  // Builds the forward computation on `tape`; returns the scalar output
+  // (log-cost for regression heads, logit for classification heads). Node
+  // states live as rows of one N x hidden matrix; every stage is a
+  // gather/segment-sum/concat followed by per-kind update MLPs and a row
+  // scatter, all scheduled by `plan` (built by BuildForwardPlan for this
+  // graph's structure; null rebuilds a thread-local plan). When `encoded` is
+  // non-null it must hold this model's encoder output for every node of
+  // `graph` (row v = encoder_kind(features(v))); the forward then starts
+  // message passing from it instead of re-encoding. Because every encode op
+  // treats rows independently, a cached encoding is bitwise identical to the
+  // in-forward one, so this changes no prediction bits.
   nn::Var Forward(nn::Tape& tape, const JointGraph& graph,
-                  const ForwardPlan& plan,
+                  const ForwardPlan* plan = nullptr,
                   const nn::Matrix* encoded = nullptr) const;
 
   // Encodes a batch of same-kind feature vectors: `out` becomes an
@@ -138,25 +125,14 @@ class CostModel {
                       const std::vector<const std::vector<double>*>& features,
                       nn::Tape& tape, nn::Matrix& out) const;
 
-  // Regression prediction in the metric's original unit (expm1 of the
-  // model output, clamped to be non-negative).
-  double PredictRegression(const JointGraph& graph) const;
-  // Probability of the positive class for classification heads.
-  double PredictProbability(const JointGraph& graph) const;
-
-  // Tape-reusing variants for inner loops: Reset() the caller's tape and run
-  // the forward on it, so steady-state prediction allocates nothing.
-  double PredictRegression(const JointGraph& graph, nn::Tape& tape) const;
-  double PredictProbability(const JointGraph& graph, nn::Tape& tape) const;
-
-  // Tape- and plan-reusing variants for the placement scorer's inner loop;
-  // `encoded` optionally supplies precomputed node encodings (see Forward).
-  double PredictRegression(const JointGraph& graph, nn::Tape& tape,
-                           const ForwardPlan& plan,
-                           const nn::Matrix* encoded = nullptr) const;
-  double PredictProbability(const JointGraph& graph, nn::Tape& tape,
-                            const ForwardPlan& plan,
-                            const nn::Matrix* encoded = nullptr) const;
+  // The head's prediction: for regression, the cost in the metric's original
+  // unit (expm1 of the clamped output, floored at zero); for classification,
+  // the probability of the positive class. A non-null `tape` is Reset() and
+  // reused, so steady-state prediction in inner loops allocates nothing;
+  // `plan` and `encoded` are passed through to Forward.
+  double Predict(const JointGraph& graph, nn::Tape* tape = nullptr,
+                 const ForwardPlan* plan = nullptr,
+                 const nn::Matrix* encoded = nullptr) const;
 
   const CostModelConfig& config() const { return config_; }
   const std::vector<nn::Parameter*>& parameters() { return params_; }
@@ -192,16 +168,6 @@ class CostModel {
   std::vector<nn::Mlp> readout_;   // single output MLP (H -> H -> 1)
   std::vector<nn::Parameter*> params_;
 
-  // Per-node reference path (ExecutionMode::kPerNode).
-  nn::Var ForwardStaged(nn::Tape& tape, const JointGraph& graph,
-                        std::vector<nn::Var>& states) const;
-  nn::Var ForwardTraditional(nn::Tape& tape, const JointGraph& graph,
-                             std::vector<nn::Var>& states) const;
-
-  // Batched path (ExecutionMode::kBatched): node states live as rows of one
-  // N x hidden matrix; every stage is a gather/segment-sum/concat followed
-  // by per-kind update MLPs and a row scatter, all scheduled by a
-  // ForwardPlan.
   nn::Var EncodeBatched(nn::Tape& tape, const JointGraph& graph,
                         const ForwardPlan& plan) const;
 };

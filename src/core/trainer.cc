@@ -190,8 +190,7 @@ TrainResult TrainLoop(CostModel& model, SampleSource& train, SampleSource& val,
       if (verify_on) {
         VerifyFetchedBatch(verify_dims, "train", batch.data(),
                            order.data() + start, in_batch);
-        if (!plan_proved &&
-            model.config().execution == ExecutionMode::kBatched) {
+        if (!plan_proved) {
           ForwardPlan plan;
           model.BuildForwardPlan(batch[0]->graph, plan);
           verify::VerifyReport report;
@@ -310,7 +309,7 @@ TrainResult TrainModel(CostModel& model, const std::vector<TrainSample>& train,
     };
     check_set(train, "train");
     check_set(val, "val");
-    if (report.ok() && model.config().execution == ExecutionMode::kBatched) {
+    if (report.ok()) {
       ForwardPlan plan;
       model.BuildForwardPlan(train.front().graph, plan);
       report.PushLocationPrefix("train[0].");
@@ -342,7 +341,7 @@ eval::QErrorSummary EvaluateRegression(
   nn::Tape tape;
   for (const TrainSample& sample : samples) {
     actual.push_back(sample.regression_target);
-    predicted.push_back(model.PredictRegression(sample.graph, tape));
+    predicted.push_back(model.Predict(sample.graph, &tape));
   }
   return eval::SummarizeQErrors(actual, predicted);
 }
@@ -357,7 +356,7 @@ double EvaluateClassification(const CostModel& model,
   nn::Tape tape;
   for (const TrainSample& sample : samples) {
     actual.push_back(sample.label);
-    predicted.push_back(model.PredictProbability(sample.graph, tape) >= 0.5);
+    predicted.push_back(model.Predict(sample.graph, &tape) >= 0.5);
   }
   return eval::Accuracy(actual, predicted);
 }

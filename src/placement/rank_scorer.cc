@@ -63,64 +63,21 @@ QuantizedRanker::QuantizedRanker(const dsps::QueryGraph& query,
   const core::CostModelConfig& config = target->member(0).config();
   hidden_ = config.hidden_dim;
   mode_ = config.featurization;
-  EncodeStructure(query, cluster);
-  EncodeQueryFeatures(query);
+  const core::JointGraph graph = core::BuildOperatorGraph(query);
+  target->member(0).BuildForwardPlan(graph, plan_);
+  EncodeHosts(cluster);
+  EncodeQueryFeatures(graph);
 }
 
 int QuantizedRanker::AddQuery(const dsps::QueryGraph& query) {
   COSTREAM_CHECK(query.num_operators() == num_ops_);
-  EncodeQueryFeatures(query);
+  EncodeQueryFeatures(core::BuildOperatorGraph(query));
   return static_cast<int>(num_queries_) - 1;
 }
 
-void QuantizedRanker::EncodeStructure(const dsps::QueryGraph& query,
-                                      const sim::Cluster& cluster) {
-  const core::JointGraph graph = core::BuildOperatorGraph(query);
-  const int n = num_ops_;
-
-  op_kind_.resize(n);
-  for (int v = 0; v < n; ++v) {
-    op_kind_[v] = static_cast<int>(graph.nodes[v].kind);
-  }
-
-  in_lists_.assign(n, {});
-  for (const auto& [from, to] : graph.dataflow_edges) {
-    in_lists_[to].push_back(from);
-  }
-
-  ops_by_kind_.assign(core::kNumNodeKinds, {});
-  for (int v = 0; v < n; ++v) ops_by_kind_[op_kind_[v]].push_back(v);
-
-  // Dataflow waves: level = longest upstream chain; nodes keep their
-  // topological-order position within a wave (same batches as the full
-  // path's ForwardPlan stage 3).
-  std::vector<int> level(n, 0);
-  int max_level = 0;
-  for (int v : graph.topo_order) {
-    int lv = 0;
-    for (int u : in_lists_[v]) lv = std::max(lv, level[u] + 1);
-    level[v] = lv;
-    max_level = std::max(max_level, lv);
-  }
-  std::vector<std::vector<int>> waves(max_level + 1);
-  for (int v : graph.topo_order) waves[level[v]].push_back(v);
-  wave_groups_.clear();
-  for (size_t lv = 1; lv < waves.size(); ++lv) {
-    std::vector<WaveGroup> groups;
-    for (int k = 0; k < core::kNumNodeKinds; ++k) {
-      WaveGroup group;
-      group.kind = k;
-      for (int v : waves[lv]) {
-        if (op_kind_[v] == k) group.ops.push_back(v);
-      }
-      if (!group.ops.empty()) groups.push_back(std::move(group));
-    }
-    wave_groups_.push_back(std::move(groups));
-  }
-
-  // Hardware-node encodings, shared by every query of the batch.
+// Hardware-node encodings, shared by every query of the batch.
+void QuantizedRanker::EncodeHosts(const sim::Cluster& cluster) {
   const int members = static_cast<int>(weights_->members.size());
-  op_enc_.assign(members, {});
   hw_enc_.resize(members);
   if (num_hw_ > 0) {
     const int host_kind = static_cast<int>(core::NodeKind::kHost);
@@ -140,25 +97,27 @@ void QuantizedRanker::EncodeStructure(const dsps::QueryGraph& query,
   }
 }
 
-void QuantizedRanker::EncodeQueryFeatures(const dsps::QueryGraph& query) {
-  const core::JointGraph graph = core::BuildOperatorGraph(query);
+void QuantizedRanker::EncodeQueryFeatures(const core::JointGraph& graph) {
   const int n = num_ops_;
   COSTREAM_CHECK(static_cast<int>(graph.nodes.size()) == n);
-  for (int v = 0; v < n; ++v) {
-    // Same-structure contract: AddQuery callers group by a structure hash
-    // over kinds and edges, so a mismatch here is an engine bug.
-    COSTREAM_CHECK(static_cast<int>(graph.nodes[v].kind) == op_kind_[v]);
+  for (int k = 0; k < core::kNumNodeKinds; ++k) {
+    for (int v : plan_.encode_rows[k]) {
+      // Same-structure contract: AddQuery callers group by a structure hash
+      // over kinds and edges, so a mismatch here is an engine bug.
+      COSTREAM_CHECK(static_cast<int>(graph.nodes[v].kind) == k);
+    }
   }
 
   const int members = static_cast<int>(weights_->members.size());
   const int h = hidden_;
+  op_enc_.resize(members);
   nn::FloatMatrix feats;
   nn::FloatMatrix enc;
   for (int m = 0; m < members; ++m) {
     nn::FloatMatrix& query_enc = op_enc_[m].emplace_back();
     query_enc.ResizeUninit(n, h);
     for (int k = 0; k < core::kNumNodeKinds; ++k) {
-      const std::vector<int>& ops = ops_by_kind_[k];
+      const std::vector<int>& ops = plan_.encode_rows[k];
       if (ops.empty()) continue;
       const int dim = static_cast<int>(graph.nodes[ops[0]].features.size());
       feats.ResizeUninit(static_cast<int>(ops.size()), dim);
@@ -174,16 +133,6 @@ void QuantizedRanker::EncodeQueryFeatures(const dsps::QueryGraph& query) {
     }
   }
   ++num_queries_;
-}
-
-void QuantizedRanker::RankAll(const std::vector<sim::Placement>& candidates,
-                              std::vector<double>& costs) {
-  Request request;
-  request.query_slot = 0;
-  request.candidates = &candidates;
-  std::vector<std::vector<double>> batch_costs;
-  RankBatch({request}, batch_costs);
-  costs = std::move(batch_costs[0]);
 }
 
 void QuantizedRanker::RankBatch(const std::vector<Request>& requests,
@@ -273,7 +222,7 @@ void QuantizedRanker::RankBatch(const std::vector<Request>& requests,
     // Stage 2 (HW -> OPS): one GEMM per kind over every pair's rows; the
     // own state is still the shared encoder output.
     for (int k = 0; k < core::kNumNodeKinds; ++k) {
-      const std::vector<int>& ops = ops_by_kind_[k];
+      const std::vector<int>& ops = plan_.encode_rows[k];
       if (ops.empty()) continue;
       const int rows = num_pairs * static_cast<int>(ops.size());
       cat_.ResizeUninit(rows, cat_cols);
@@ -297,29 +246,34 @@ void QuantizedRanker::RankBatch(const std::vector<Request>& requests,
       }
     }
 
-    // Stage 3 (SOURCES -> OPS): wave by wave; within a wave, one GEMM per
-    // kind over all pairs. A wave's inputs sit in strictly earlier waves,
-    // so reading op_states_ while scattering into the wave is safe.
-    for (const std::vector<WaveGroup>& groups : wave_groups_) {
-      for (const WaveGroup& group : groups) {
-        const int rows = num_pairs * static_cast<int>(group.ops.size());
+    // Stage 3 (SOURCES -> OPS): the plan's stages, wave by wave; each slice
+    // is one kind of a wave and runs as one GEMM over all pairs. A wave's
+    // inputs sit in strictly earlier waves, so reading op_states_ while
+    // scattering into the wave is safe.
+    for (const core::ForwardPlan::Stage& stage : plan_.stages) {
+      for (const core::ForwardPlan::UpdateSlice& slice : stage.slices) {
+        const std::vector<int>& ops = slice.targets;
+        const int rows = num_pairs * static_cast<int>(ops.size());
         cat_.ResizeUninit(rows, cat_cols);
         int row = 0;
         for (int p = 0; p < num_pairs; ++p) {
           const int base = p * n;
-          for (int v : group.ops) {
+          for (size_t j = 0; j < ops.size(); ++j) {
+            // The op's position in the wave indexes its in-edge segment.
+            const int i =
+                slice.pos.empty() ? static_cast<int>(j) : slice.pos[j];
             float* dst = cat_.row(row++);
-            for (int j = 0; j < h; ++j) dst[j] = 0.0f;
-            for (int u : in_lists_[v]) {
-              AddRow(op_states_.row(base + u), dst, h);
+            for (int c = 0; c < h; ++c) dst[c] = 0.0f;
+            for (int e = stage.offsets[i]; e < stage.offsets[i + 1]; ++e) {
+              AddRow(op_states_.row(base + stage.children[e]), dst, h);
             }
-            CopyRow(op_states_.row(base + v), dst + h, h);
+            CopyRow(op_states_.row(base + ops[j]), dst + h, h);
           }
         }
-        model.updates[group.kind].Apply(cat_, out_, scratch_);
+        model.updates[slice.kind].Apply(cat_, out_, scratch_);
         row = 0;
         for (int p = 0; p < num_pairs; ++p) {
-          for (int v : group.ops) {
+          for (int v : ops) {
             CopyRow(out_.row(row++), op_states_.row(p * n + v), h);
           }
         }

@@ -2,16 +2,16 @@
 #define COSTREAM_PLACEMENT_RANK_SCORER_H_
 
 // Quantized fast-ranking tier of the placement fast path. A QuantizedRanker
-// mirrors the cost model's staged message passing in float with bf16/int8
-// weight copies and scores a whole batch of placement candidates at once:
-// every (member, stage, node-kind) pair becomes ONE GEMM over the rows of
-// ALL candidates — across every request of the batch, not just one — so K
-// candidates from M same-structure requests cost roughly one candidate's
-// worth of kernel launches. The ranker only orders candidates — the service
-// re-scores the top-k through the full-precision PlacementScorer before
-// deciding — so its output never appears in a decision score. Ranking is
-// single-threaded and uses fixed accumulation orders: the same batch always
-// ranks identically, regardless of the service's num_threads.
+// executes the cost model's ForwardPlan stage-3 schedule in float with
+// bf16/int8 weight copies and scores a whole batch of placement candidates
+// at once: every (member, stage, node-kind) pair becomes ONE GEMM over the
+// rows of ALL candidates — across every request of the batch, not just one
+// — so K candidates from M same-structure requests cost roughly one
+// candidate's worth of kernel launches. The ranker only orders candidates —
+// the service re-scores the top-k through the full-precision PlacementScorer
+// before deciding — so its output never appears in a decision score.
+// Ranking is single-threaded and uses fixed accumulation orders: the same
+// batch always ranks identically, regardless of the service's num_threads.
 
 #include <vector>
 
@@ -42,7 +42,7 @@ struct QuantizedEnsemble {
 
 class QuantizedRanker {
  public:
-  // The ranking tier mirrors exactly the configuration the placement
+  // The ranking tier covers exactly the configuration the placement
   // service runs: staged message passing, a regression head, and a joint
   // graph with host nodes. Anything else falls back to full scoring.
   static bool CanRank(const core::Ensemble& ensemble);
@@ -74,17 +74,12 @@ class QuantizedRanker {
   void RankBatch(const std::vector<Request>& requests,
                  std::vector<std::vector<double>>& costs);
 
-  // Single-request convenience wrapper over RankBatch (query slot 0).
-  void RankAll(const std::vector<sim::Placement>& candidates,
-               std::vector<double>& costs);
-
   int num_operators() const { return num_ops_; }
   int num_queries() const { return static_cast<int>(num_queries_); }
 
  private:
-  void EncodeStructure(const dsps::QueryGraph& query,
-                       const sim::Cluster& cluster);
-  void EncodeQueryFeatures(const dsps::QueryGraph& query);
+  void EncodeHosts(const sim::Cluster& cluster);
+  void EncodeQueryFeatures(const core::JointGraph& graph);
 
   const QuantizedEnsemble* weights_;
   int num_ops_ = 0;
@@ -93,16 +88,11 @@ class QuantizedRanker {
   size_t num_queries_ = 0;
   core::FeaturizationMode mode_ = core::FeaturizationMode::kFull;
 
-  // Query-invariant structure (shared by every registered query).
-  std::vector<int> op_kind_;                  // NodeKind per operator
-  std::vector<std::vector<int>> in_lists_;    // dataflow in-edges per op
-  std::vector<std::vector<int>> ops_by_kind_;  // stage-2 batches
-  // Stage-3 batches: one (wave level >= 1, kind) group, level-major.
-  struct WaveGroup {
-    int kind = 0;
-    std::vector<int> ops;
-  };
-  std::vector<std::vector<WaveGroup>> wave_groups_;  // [level][group]
+  // The target's forward plan for the operator graph, shared by every
+  // registered query. Without host nodes its stages are exactly stage 3's
+  // dataflow waves: each slice is one (wave, kind) GEMM batch and the CSR
+  // children are the in-edges; encode_rows gives stage 2's kind batches.
+  core::ForwardPlan plan_;
 
   // Candidate-invariant encodings: operators per (member, query slot)
   // (N x h) and hardware nodes per member (H x h).

@@ -63,13 +63,11 @@ PlacementScorer::PlacementScorer(const dsps::QueryGraph& query,
 
   const auto slot_for = [&](const core::Ensemble* ensemble) {
     const core::CostModelConfig& config = ensemble->member(0).config();
-    const bool batched = config.execution == core::ExecutionMode::kBatched;
     for (size_t i = 0; i < modes_.size(); ++i) {
       ModeCache& existing = modes_[i];
       if (existing.mode == config.featurization &&
           existing.message_passing == config.message_passing &&
           existing.traditional_iterations == config.traditional_iterations) {
-        existing.wants_plan |= batched;
         return static_cast<int>(i);
       }
     }
@@ -78,7 +76,6 @@ PlacementScorer::PlacementScorer(const dsps::QueryGraph& query,
     cache.message_passing = config.message_passing;
     cache.traditional_iterations = config.traditional_iterations;
     cache.planner = ensemble;
-    cache.wants_plan = batched;
     cache.prototype = prototype;
     if (cache.mode != core::FeaturizationMode::kOperatorsOnly) {
       cache.host_features.reserve(cluster.num_nodes());
@@ -103,8 +100,6 @@ PlacementScorer::PlacementScorer(const dsps::QueryGraph& query,
     EncOwner owner;
     owner.ensemble = ensemble;
     owner.slot = slot;
-    owner.batched = ensemble->member(0).config().execution ==
-                    core::ExecutionMode::kBatched;
     enc_owners_.push_back(owner);
     return static_cast<int>(enc_owners_.size()) - 1;
   };
@@ -165,7 +160,7 @@ void PlacementScorer::Bind(Workspace& ws, int slot,
   const ModeCache& cache = modes_[slot];
   if (cache.mode == core::FeaturizationMode::kOperatorsOnly) {
     // No host tail: the graph (and thus the plan) is placement-independent.
-    if (cache.wants_plan && !ws.plans[slot].ready) {
+    if (!ws.plans[slot].ready) {
       PlanRebuildCounter().Increment();
       cache.planner->member(0).BuildForwardPlan(ws.graphs[slot],
                                                 ws.plans[slot]);
@@ -206,18 +201,15 @@ void PlacementScorer::Bind(Workspace& ws, int slot,
     jn.features.assign(features.begin(), features.end());
   }
 
-  // Re-derive the batched execution plan once for this candidate; every
-  // ensemble member forward of this slot then runs plan-free of derivation.
-  if (cache.wants_plan) {
-    PlanRebuildCounter().Increment();
-    cache.planner->member(0).BuildForwardPlan(g, ws.plans[slot]);
-  }
+  // Re-derive the forward plan once for this candidate; every ensemble
+  // member forward of this slot then runs plan-free of derivation.
+  PlanRebuildCounter().Increment();
+  cache.planner->member(0).BuildForwardPlan(g, ws.plans[slot]);
 }
 
 const std::vector<nn::Matrix>* PlacementScorer::AssembleEncodings(
     Workspace& ws, int enc_idx) const {
   const EncOwner& owner = enc_owners_[enc_idx];
-  if (!owner.batched) return nullptr;
   Workspace::EncodeCache& cache = ws.enc_caches[enc_idx];
   const ModeCache& mode = modes_[owner.slot];
   const core::Ensemble& ensemble = *owner.ensemble;
@@ -307,9 +299,9 @@ const std::vector<nn::Matrix>* PlacementScorer::AssembleEncodings(
 double PlacementScorer::PredictTarget(Workspace& ws,
                                       const sim::Placement& placement) const {
   Bind(ws, target_slot_, placement);
-  return target_->PredictRegression(ws.graphs[target_slot_], ws.target_scratch,
-                                    ws.plans[target_slot_],
-                                    AssembleEncodings(ws, target_enc_));
+  return target_->Predict(ws.graphs[target_slot_], &ws.target_scratch,
+                          &ws.plans[target_slot_],
+                          AssembleEncodings(ws, target_enc_));
 }
 
 PlacementScorer::CandidateScore PlacementScorer::Score(
@@ -323,19 +315,19 @@ PlacementScorer::CandidateScore PlacementScorer::Score(
     Bind(ws, slot, placement);
   }
   CandidateScore out;
-  out.cost = target_->PredictRegression(
-      ws.graphs[target_slot_], ws.target_scratch, ws.plans[target_slot_],
-      AssembleEncodings(ws, target_enc_));
+  out.cost = target_->Predict(ws.graphs[target_slot_], &ws.target_scratch,
+                              &ws.plans[target_slot_],
+                              AssembleEncodings(ws, target_enc_));
   bool feasible = true;
   if (success_ != nullptr) {
     feasible = success_->PredictBinary(
-        ws.graphs[success_slot_], ws.success_scratch, ws.plans[success_slot_],
-        AssembleEncodings(ws, success_enc_));
+        ws.graphs[success_slot_], &ws.success_scratch,
+        &ws.plans[success_slot_], AssembleEncodings(ws, success_enc_));
   }
   if (feasible && backpressure_ != nullptr) {
     feasible = !backpressure_->PredictBinary(
-        ws.graphs[backpressure_slot_], ws.backpressure_scratch,
-        ws.plans[backpressure_slot_],
+        ws.graphs[backpressure_slot_], &ws.backpressure_scratch,
+        &ws.plans[backpressure_slot_],
         AssembleEncodings(ws, backpressure_enc_));
   }
   out.feasible = feasible;

@@ -30,8 +30,8 @@ class PlacementScorer {
   // MakeWorkspace(); never share one Workspace between concurrent callers.
   struct Workspace {
     std::vector<core::JointGraph> graphs;
-    // One batched-execution plan per slot, rebuilt by Bind once per
-    // candidate and shared by every member forward of that candidate.
+    // One forward plan per slot, rebuilt by Bind once per candidate and
+    // shared by every member forward of that candidate.
     std::vector<core::ForwardPlan> plans;
     std::vector<std::vector<int>> host_node_of;
     core::Ensemble::PredictionScratch target_scratch;
@@ -99,9 +99,6 @@ class PlacementScorer {
     int traditional_iterations = 0;
     // Any ensemble of this slot; builds the slot's ForwardPlan.
     const core::Ensemble* planner = nullptr;
-    // False when every ensemble of the slot runs the per-node reference
-    // path, which plans for itself; Bind then skips the plan rebuild.
-    bool wants_plan = false;
     // Operator prefix shared by every candidate under this mode.
     core::JointGraph prototype;
     // Host node features per hardware node (empty for kOperatorsOnly).
@@ -116,12 +113,11 @@ class PlacementScorer {
   struct EncOwner {
     const core::Ensemble* ensemble = nullptr;
     int slot = -1;
-    bool batched = false;  // per-node ensembles never use cached encodings
   };
 
   // Returns the per-member encodings of enc_owners_[enc_idx] assembled for
-  // the slot's current binding, filling the workspace cache lazily; nullptr
-  // for per-node ensembles. Must run after Bind() for the owning slot.
+  // the slot's current binding, filling the workspace cache lazily. Must
+  // run after Bind() for the owning slot.
   const std::vector<nn::Matrix>* AssembleEncodings(Workspace& ws,
                                                    int enc_idx) const;
 

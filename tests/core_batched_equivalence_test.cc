@@ -1,9 +1,12 @@
-// The batched execution mode must be numerically invisible: every stage-level
-// GEMM, gather, segment-sum and scatter accumulates in the exact index order
-// of the per-node reference path, so predictions, gradients, per-epoch
-// trained parameters and optimizer placement choices are bitwise identical —
-// not merely close — at any thread count. ExecutionMode::kPerNode exists
-// precisely to back this contract.
+// The batched forward must be numerically invisible: every stage-level GEMM,
+// gather, segment-sum and scatter accumulates in the exact index order of a
+// node-by-node walk of Algorithm 1, so predictions and gradients are bitwise
+// identical to it — not merely close. The per-node walk lives here, as a
+// test-local oracle built only on the model's public MLP accessors, and
+// derives its own in-lists, waves and neighbour lists so that a
+// BuildForwardPlan bug cannot hide in both paths.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -13,8 +16,6 @@
 #include "core/ensemble.h"
 #include "core/trainer.h"
 #include "placement/enumeration.h"
-#include "placement/optimizer.h"
-#include "placement/parallelism_tuner.h"
 #include "placement/scorer.h"
 #include "workload/corpus.h"
 
@@ -28,18 +29,6 @@ std::vector<workload::TraceRecord> FixedCorpus(int num_queries,
   config.seed = seed;
   config.duration_s = 60.0;
   return workload::BuildCorpus(config);
-}
-
-void ExpectParamsIdentical(const std::vector<nn::Matrix>& a,
-                           const std::vector<nn::Matrix>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].SameShape(b[i]));
-    for (int j = 0; j < a[i].size(); ++j) {
-      ASSERT_EQ(a[i].data()[j], b[i].data()[j])
-          << "param " << i << " entry " << j;
-    }
-  }
 }
 
 // FNV-1a 64 over the bit patterns of `values`, in order.
@@ -56,40 +45,195 @@ core::CostModelConfig BaseConfig(core::MessagePassingMode mp,
   return config;
 }
 
-TEST(BatchedEquivalenceTest, PredictionsBitwiseIdentical) {
-  const auto records = FixedCorpus(10, 71);
-  for (const auto mp : {core::MessagePassingMode::kStaged,
-                        core::MessagePassingMode::kTraditional}) {
-    for (const auto feat : {core::FeaturizationMode::kFull,
-                            core::FeaturizationMode::kPlacementOnly,
-                            core::FeaturizationMode::kOperatorsOnly}) {
-      core::CostModelConfig config = BaseConfig(mp, feat);
-      config.execution = core::ExecutionMode::kBatched;
-      const core::CostModel batched(config);
-      config.execution = core::ExecutionMode::kPerNode;
-      const core::CostModel per_node(config);
+// --- Per-node oracle --------------------------------------------------------
 
-      nn::Tape reused;
-      for (const auto& record : records) {
-        const core::JointGraph graph = core::BuildJointGraph(
-            record.query, record.cluster, record.placement, feat);
-        const double reference = per_node.PredictRegression(graph);
-        ASSERT_EQ(batched.PredictRegression(graph), reference);
-        // Arena reuse must be invisible too: the same tape, reset and
-        // refilled across differently-shaped graphs, yields the same value.
-        ASSERT_EQ(batched.PredictRegression(graph, reused), reference);
-        ASSERT_EQ(batched.PredictProbability(graph),
-                  per_node.PredictProbability(graph));
+// Incoming dataflow neighbours per operator, in dataflow-edge order.
+std::vector<std::vector<int>> InLists(const core::JointGraph& graph) {
+  std::vector<std::vector<int>> in_lists(graph.num_operator_nodes);
+  for (const auto& [from, to] : graph.dataflow_edges) {
+    in_lists[to].push_back(from);
+  }
+  return in_lists;
+}
+
+// Wave L holds the operators whose longest upstream chain has length L, in
+// topological order; every input of a wave sits in an earlier wave.
+std::vector<std::vector<int>> DataflowWaves(
+    const core::JointGraph& graph,
+    const std::vector<std::vector<int>>& in_lists) {
+  std::vector<int> level(graph.num_operator_nodes, 0);
+  int max_level = 0;
+  for (int v : graph.topo_order) {
+    for (int u : in_lists[v]) level[v] = std::max(level[v], level[u] + 1);
+    max_level = std::max(max_level, level[v]);
+  }
+  std::vector<std::vector<int>> waves(max_level + 1);
+  for (int v : graph.topo_order) waves[level[v]].push_back(v);
+  return waves;
+}
+
+// Undirected neighbourhood over data-flow and placement edges, neighbours
+// per node in edge-scan order.
+std::vector<std::vector<int>> NeighborLists(const core::JointGraph& graph) {
+  std::vector<std::vector<int>> neighbors(graph.nodes.size());
+  for (const auto& [from, to] : graph.dataflow_edges) {
+    neighbors[from].push_back(to);
+    neighbors[to].push_back(from);
+  }
+  for (const auto& [op, host] : graph.placement_edges) {
+    neighbors[op].push_back(host);
+    neighbors[host].push_back(op);
+  }
+  return neighbors;
+}
+
+// The model's forward, one 1 x d op chain per graph node.
+nn::Var OracleForward(const core::CostModel& model, nn::Tape& tape,
+                      const core::JointGraph& graph) {
+  const int num_nodes = static_cast<int>(graph.nodes.size());
+  std::vector<nn::Var> states(num_nodes);
+  for (int v = 0; v < num_nodes; ++v) {
+    const core::JointNode& node = graph.nodes[v];
+    states[v] = model.encoder_mlp(node.kind).Apply(
+        tape, tape.Input(nn::Matrix::Row(node.features)));
+  }
+  const auto update = [&](int v, const std::vector<nn::Var>& children,
+                          nn::Var own) {
+    nn::Var cat = tape.ConcatCols(tape.AddN(children), own);
+    return model.update_mlp(graph.nodes[v].kind).Apply(tape, cat);
+  };
+
+  if (model.config().message_passing == core::MessagePassingMode::kStaged) {
+    if (graph.num_host_nodes > 0) {
+      // OPS -> HW: co-located operators send one message each.
+      std::vector<std::vector<nn::Var>> host_children(num_nodes);
+      for (const auto& [op, host] : graph.placement_edges) {
+        host_children[host].push_back(states[op]);
+      }
+      for (int v = graph.num_operator_nodes; v < num_nodes; ++v) {
+        states[v] = update(v, host_children[v], states[v]);
+      }
+      // HW -> OPS: each operator reads the host it runs on.
+      for (const auto& [op, host] : graph.placement_edges) {
+        states[op] = update(op, {states[host]}, states[op]);
+      }
+    }
+    // SOURCES -> OPS, wave by wave.
+    const auto in_lists = InLists(graph);
+    const auto waves = DataflowWaves(graph, in_lists);
+    for (size_t level = 1; level < waves.size(); ++level) {
+      for (int v : waves[level]) {
+        std::vector<nn::Var> children;
+        for (int u : in_lists[v]) children.push_back(states[u]);
+        states[v] = update(v, children, states[v]);
+      }
+    }
+  } else {
+    // Traditional: every connected node updates from its neighbours at once.
+    // Each iteration runs all sums, then all concats, then all update MLPs,
+    // so the reverse sweep credits every shared state with its "own"
+    // contributions before any neighbour-sum ones: the accumulation order of
+    // the batched gather/segment-sum backward.
+    const auto neighbors = NeighborLists(graph);
+    for (int iter = 0; iter < model.config().traditional_iterations; ++iter) {
+      std::vector<nn::Var> sums(num_nodes);
+      std::vector<nn::Var> cats(num_nodes);
+      std::vector<nn::Var> next = states;
+      for (int v = 0; v < num_nodes; ++v) {
+        if (neighbors[v].empty()) continue;
+        std::vector<nn::Var> children;
+        for (int u : neighbors[v]) children.push_back(states[u]);
+        sums[v] = tape.AddN(children);
+      }
+      for (int v = 0; v < num_nodes; ++v) {
+        if (!neighbors[v].empty()) {
+          cats[v] = tape.ConcatCols(sums[v], states[v]);
+        }
+      }
+      for (int v = 0; v < num_nodes; ++v) {
+        if (neighbors[v].empty()) continue;
+        next[v] = model.update_mlp(graph.nodes[v].kind).Apply(tape, cats[v]);
+      }
+      states = std::move(next);
+    }
+  }
+  return model.readout_mlp().Apply(tape, tape.AddN(states));
+}
+
+double OracleOutput(const core::CostModel& model,
+                    const core::JointGraph& graph) {
+  nn::Tape tape;
+  return tape.value(OracleForward(model, tape, graph))(0, 0);
+}
+
+// The head map: clamped expm1 floored at zero, or the stable sigmoid.
+double OraclePredict(const core::CostModel& model,
+                     const core::JointGraph& graph) {
+  const double z = OracleOutput(model, graph);
+  if (model.config().head == core::HeadKind::kRegression) {
+    return std::max(std::expm1(std::clamp(z, -10.0, 30.0)), 0.0);
+  }
+  return z >= 0.0 ? 1.0 / (1.0 + std::exp(-z))
+                  : std::exp(z) / (1.0 + std::exp(z));
+}
+
+// Member mean, summed in member order.
+double OracleMean(const core::Ensemble& ensemble,
+                  const core::JointGraph& graph) {
+  double total = 0.0;
+  for (int i = 0; i < ensemble.size(); ++i) {
+    total += OraclePredict(ensemble.member(i), graph);
+  }
+  return total / ensemble.size();
+}
+
+bool OracleVote(const core::Ensemble& ensemble,
+                const core::JointGraph& graph) {
+  int votes = 0;
+  for (int i = 0; i < ensemble.size(); ++i) {
+    if (OraclePredict(ensemble.member(i), graph) >= 0.5) ++votes;
+  }
+  return votes * 2 > ensemble.size();
+}
+
+// Gradients of one MSE loss through the model's forward and through the
+// oracle, compared entry by entry. Leaves every gradient zeroed.
+void ExpectGradientsMatchOracle(
+    core::CostModel& model, const std::vector<workload::TraceRecord>& records) {
+  const std::vector<nn::Parameter*>& params = model.parameters();
+  const nn::Matrix target = nn::Matrix::Scalar(1.7);
+  for (const auto& record : records) {
+    const core::JointGraph graph = core::BuildJointGraph(
+        record.query, record.cluster, record.placement);
+    for (nn::Parameter* p : params) p->ZeroGrad();
+    nn::Tape tape;
+    tape.Backward(tape.MseLoss(model.Forward(tape, graph), target));
+    std::vector<nn::Matrix> batched;
+    for (const nn::Parameter* p : params) batched.push_back(p->grad);
+
+    for (nn::Parameter* p : params) p->ZeroGrad();
+    nn::Tape oracle;
+    oracle.Backward(
+        oracle.MseLoss(OracleForward(model, oracle, graph), target));
+    for (size_t i = 0; i < params.size(); ++i) {
+      ASSERT_TRUE(params[i]->grad.SameShape(batched[i]));
+      for (int j = 0; j < batched[i].size(); ++j) {
+        ASSERT_EQ(batched[i].data()[j], params[i]->grad.data()[j])
+            << "param " << i << " entry " << j;
       }
     }
   }
+  for (nn::Parameter* p : params) p->ZeroGrad();
 }
 
-// Golden digests over both message-passing schemes x three featurization
-// modes x both heads: the raw readout output and the head-mapped prediction
-// of every graph. They pin the forward's arithmetic bit for bit, so any
-// rewrite of its schedule must leave both constants unchanged.
-TEST(BatchedEquivalenceTest, OutputsMatchGoldenDigests) {
+// --- Tests ------------------------------------------------------------------
+
+// Both message-passing schemes x three featurization modes x both heads:
+// raw outputs and head-mapped predictions equal the oracle's bit for bit,
+// with and without a reused tape and plan. Golden digests over the same
+// values pin the arithmetic itself, so a rewrite of the forward's schedule
+// must leave both constants unchanged.
+TEST(BatchedEquivalenceTest, PredictionsBitwiseIdentical) {
   const auto records = FixedCorpus(10, 71);
   std::vector<double> raw;
   std::vector<double> mapped;
@@ -103,96 +247,56 @@ TEST(BatchedEquivalenceTest, OutputsMatchGoldenDigests) {
         core::CostModelConfig config = BaseConfig(mp, feat);
         config.head = head;
         const core::CostModel model(config);
-        nn::Tape tape;
+
+        nn::Tape reused;
+        core::ForwardPlan plan;
         for (const auto& record : records) {
           const core::JointGraph graph = core::BuildJointGraph(
               record.query, record.cluster, record.placement, feat);
-          raw.push_back(tape.value(model.Forward(tape, graph))(0, 0));
-          tape.Reset();
-          mapped.push_back(head == core::HeadKind::kRegression
-                               ? model.PredictRegression(graph)
-                               : model.PredictProbability(graph));
+          reused.Reset();
+          raw.push_back(reused.value(model.Forward(reused, graph))(0, 0));
+          ASSERT_EQ(raw.back(), OracleOutput(model, graph));
+          mapped.push_back(model.Predict(graph));
+          ASSERT_EQ(mapped.back(), OraclePredict(model, graph));
+          // Arena and plan reuse must be invisible too: the same tape and
+          // plan, refilled across differently-shaped graphs, give the same
+          // value.
+          ASSERT_EQ(model.Predict(graph, &reused), mapped.back());
+          model.BuildForwardPlan(graph, plan);
+          ASSERT_EQ(model.Predict(graph, &reused, &plan), mapped.back());
         }
       }
     }
   }
-  ASSERT_EQ(raw.size(), 2u * 3u * 2u * records.size());
-  EXPECT_EQ(BitsDigest(raw), 0xdcc866793131da93ull) << std::hex << BitsDigest(raw);
-  EXPECT_EQ(BitsDigest(mapped), 0x5782b59739b9eff9ull) << std::hex << BitsDigest(mapped);
+  EXPECT_EQ(BitsDigest(raw), 0xdcc866793131da93ull) << std::hex
+                                                    << BitsDigest(raw);
+  EXPECT_EQ(BitsDigest(mapped), 0x5782b59739b9eff9ull) << std::hex
+                                                       << BitsDigest(mapped);
 }
 
+// Gradients at initialization and again after each of three training
+// epochs. Training runs the batched forward through the shared TrainLoop, so
+// equal per-sample gradients at every visited weight state imply equal
+// trained weights.
 TEST(BatchedEquivalenceTest, GradientsBitwiseIdentical) {
   const auto records = FixedCorpus(6, 83);
+  const auto samples = workload::ToTrainSamples(FixedCorpus(30, 91),
+                                                sim::Metric::kThroughput);
+  ASSERT_GE(samples.size(), 16u);
   for (const auto mp : {core::MessagePassingMode::kStaged,
                         core::MessagePassingMode::kTraditional}) {
-    core::CostModelConfig config =
-        BaseConfig(mp, core::FeaturizationMode::kFull);
-    config.execution = core::ExecutionMode::kBatched;
-    core::CostModel batched(config);
-    config.execution = core::ExecutionMode::kPerNode;
-    core::CostModel per_node(config);
-
-    for (const auto& record : records) {
-      const core::JointGraph graph = core::BuildJointGraph(
-          record.query, record.cluster, record.placement);
-      const nn::Matrix target = nn::Matrix::Scalar(1.7);
-
-      for (nn::Parameter* p : batched.parameters()) p->ZeroGrad();
-      nn::Tape tape_b;
-      tape_b.Backward(tape_b.MseLoss(batched.Forward(tape_b, graph), target));
-
-      for (nn::Parameter* p : per_node.parameters()) p->ZeroGrad();
-      nn::Tape tape_p;
-      tape_p.Backward(
-          tape_p.MseLoss(per_node.Forward(tape_p, graph), target));
-
-      const auto& bp = batched.parameters();
-      const auto& pp = per_node.parameters();
-      ASSERT_EQ(bp.size(), pp.size());
-      for (size_t i = 0; i < bp.size(); ++i) {
-        ASSERT_TRUE(bp[i]->grad.SameShape(pp[i]->grad));
-        for (int j = 0; j < bp[i]->grad.size(); ++j) {
-          ASSERT_EQ(bp[i]->grad.data()[j], pp[i]->grad.data()[j])
-              << "param " << i << " entry " << j;
-        }
-      }
+    SCOPED_TRACE(mp == core::MessagePassingMode::kStaged ? "staged"
+                                                         : "traditional");
+    core::CostModel model(BaseConfig(mp, core::FeaturizationMode::kFull));
+    ExpectGradientsMatchOracle(model, records);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      core::TrainConfig tc;
+      tc.epochs = 1;
+      tc.batch_size = 8;
+      tc.seed = 300 + epoch;
+      core::TrainModel(model, samples, {}, tc);
+      ExpectGradientsMatchOracle(model, records);
     }
-  }
-}
-
-TEST(BatchedEquivalenceTest, TrainedParametersIdenticalEveryEpoch) {
-  const auto records = FixedCorpus(30, 91);
-  const auto samples =
-      workload::ToTrainSamples(records, sim::Metric::kThroughput);
-  ASSERT_GE(samples.size(), 16u);
-
-  core::CostModelConfig config = BaseConfig(
-      core::MessagePassingMode::kStaged, core::FeaturizationMode::kFull);
-  config.execution = core::ExecutionMode::kBatched;
-  core::CostModel batched(config);
-  core::CostModel batched_mt(config);
-  config.execution = core::ExecutionMode::kPerNode;
-  core::CostModel per_node(config);
-
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    core::TrainConfig tc;
-    tc.epochs = 1;
-    tc.batch_size = 8;
-    tc.seed = 300 + epoch;
-    tc.num_threads = 1;
-    const core::TrainResult reference =
-        core::TrainModel(per_node, samples, {}, tc);
-    const core::TrainResult serial = core::TrainModel(batched, samples, {}, tc);
-    tc.num_threads = 4;
-    const core::TrainResult threaded =
-        core::TrainModel(batched_mt, samples, {}, tc);
-
-    ASSERT_EQ(reference.train_losses, serial.train_losses);
-    ASSERT_EQ(reference.train_losses, threaded.train_losses);
-    ExpectParamsIdentical(per_node.SnapshotParameters(),
-                          batched.SnapshotParameters());
-    ExpectParamsIdentical(per_node.SnapshotParameters(),
-                          batched_mt.SnapshotParameters());
   }
 }
 
@@ -208,14 +312,18 @@ TEST(BatchedEquivalenceTest, CachedScorerMatchesFreshGraphs) {
   regression.hidden_dim = 12;
   core::CostModelConfig classification = regression;
   classification.head = core::HeadKind::kClassification;
-  // A second featurization mode exercises the per-mode graph caching.
+  core::CostModelConfig backpressure_config = classification;
+  backpressure_config.seed = 21;
+  // The backpressure filter shares the target's working graph and plan; a
+  // second featurization mode exercises the per-mode graph caching.
   classification.featurization = core::FeaturizationMode::kPlacementOnly;
   const core::Ensemble target(regression, 2);
   const core::Ensemble success(classification, 2);
+  const core::Ensemble backpressure(backpressure_config, 2);
 
   for (const auto& record : records) {
     const placement::PlacementScorer scorer(record.query, record.cluster,
-                                            &target, &success, nullptr);
+                                            &target, &success, &backpressure);
     placement::PlacementScorer::Workspace ws = scorer.MakeWorkspace();
 
     placement::EnumerationConfig enumeration;
@@ -230,8 +338,12 @@ TEST(BatchedEquivalenceTest, CachedScorerMatchesFreshGraphs) {
       const core::JointGraph placement_only = core::BuildJointGraph(
           record.query, record.cluster, candidate,
           core::FeaturizationMode::kPlacementOnly);
-      ASSERT_EQ(score.cost, target.PredictRegression(full));
-      ASSERT_EQ(score.feasible, success.PredictBinary(placement_only));
+      ASSERT_EQ(score.cost, target.Predict(full));
+      ASSERT_EQ(score.cost, OracleMean(target, full));
+      ASSERT_EQ(score.feasible, success.PredictBinary(placement_only) &&
+                                    !backpressure.PredictBinary(full));
+      ASSERT_EQ(score.feasible, OracleVote(success, placement_only) &&
+                                    !OracleVote(backpressure, full));
     }
 
     // Parallelism rewrites: flipping one degree in the cached graphs equals
@@ -240,90 +352,19 @@ TEST(BatchedEquivalenceTest, CachedScorerMatchesFreshGraphs) {
     const int op = modified.num_operators() / 2;
     modified.mutable_op(op).parallelism = 4;
     scorer.SetParallelism(ws, op, 4);
-    ASSERT_EQ(scorer.PredictTarget(ws, record.placement),
-              target.PredictRegression(core::BuildJointGraph(
-                  modified, record.cluster, record.placement,
-                  core::FeaturizationMode::kFull)));
+    const core::JointGraph tuned = core::BuildJointGraph(
+        modified, record.cluster, record.placement,
+        core::FeaturizationMode::kFull);
+    const double tuned_cost = scorer.PredictTarget(ws, record.placement);
+    ASSERT_EQ(tuned_cost, target.Predict(tuned));
+    ASSERT_EQ(tuned_cost, OracleMean(target, tuned));
     scorer.SetParallelism(ws, op, record.query.op(op).parallelism);
-    ASSERT_EQ(scorer.PredictTarget(ws, record.placement),
-              target.PredictRegression(core::BuildJointGraph(
-                  record.query, record.cluster, record.placement,
-                  core::FeaturizationMode::kFull)));
-  }
-}
-
-TEST(BatchedEquivalenceTest, OptimizerPlacementChoiceIdentical) {
-  const auto records = FixedCorpus(4, 97);
-
-  const auto make_ensembles = [](core::ExecutionMode exec) {
-    core::CostModelConfig regression = BaseConfig(
-        core::MessagePassingMode::kStaged, core::FeaturizationMode::kFull);
-    regression.hidden_dim = 12;
-    regression.execution = exec;
-    core::CostModelConfig classification = regression;
-    classification.head = core::HeadKind::kClassification;
-    classification.seed = 11;
-    auto target = std::make_unique<core::Ensemble>(regression, 2);
-    auto success = std::make_unique<core::Ensemble>(classification, 2);
-    classification.seed = 21;
-    auto backpressure = std::make_unique<core::Ensemble>(classification, 2);
-    return std::tuple(std::move(target), std::move(success),
-                      std::move(backpressure));
-  };
-
-  const auto [bt, bs, bb] = make_ensembles(core::ExecutionMode::kBatched);
-  const auto [pt, ps, pb] = make_ensembles(core::ExecutionMode::kPerNode);
-  const placement::PlacementOptimizer batched(bt.get(), bs.get(), bb.get());
-  const placement::PlacementOptimizer per_node(pt.get(), ps.get(), pb.get());
-
-  for (const auto& record : records) {
-    placement::OptimizerConfig config;
-    config.enumeration.num_candidates = 30;
-    config.num_threads = 1;
-    config.enumeration.num_threads = 1;
-    const auto reference = per_node.Optimize(record.query, record.cluster,
-                                             config);
-    for (int threads : {1, 4}) {
-      config.num_threads = threads;
-      const auto result = batched.Optimize(record.query, record.cluster,
-                                           config);
-      ASSERT_EQ(reference.best, result.best);
-      ASSERT_EQ(reference.predicted_cost, result.predicted_cost);
-      ASSERT_EQ(reference.any_feasible, result.any_feasible);
-      ASSERT_EQ(reference.candidates_evaluated, result.candidates_evaluated);
-      ASSERT_EQ(reference.candidates_filtered, result.candidates_filtered);
-    }
-  }
-}
-
-TEST(BatchedEquivalenceTest, ParallelismTunerChoiceIdentical) {
-  const auto records = FixedCorpus(3, 101);
-
-  core::CostModelConfig config = BaseConfig(
-      core::MessagePassingMode::kStaged, core::FeaturizationMode::kFull);
-  config.hidden_dim = 12;
-  config.execution = core::ExecutionMode::kBatched;
-  core::Ensemble batched(config, 2);
-  config.execution = core::ExecutionMode::kPerNode;
-  core::Ensemble per_node(config, 2);
-
-  for (const auto& record : records) {
-    placement::ParallelismTunerConfig tuner_config;
-    tuner_config.max_rounds = 3;
-    tuner_config.num_threads = 1;
-    const auto reference = placement::TuneParallelism(
-        record.query, record.cluster, record.placement, per_node,
-        tuner_config);
-    for (int threads : {1, 4}) {
-      tuner_config.num_threads = threads;
-      const auto result = placement::TuneParallelism(
-          record.query, record.cluster, record.placement, batched,
-          tuner_config);
-      ASSERT_EQ(reference.parallelism, result.parallelism);
-      ASSERT_EQ(reference.predicted_initial, result.predicted_initial);
-      ASSERT_EQ(reference.predicted_tuned, result.predicted_tuned);
-      ASSERT_EQ(reference.changes, result.changes);
-    }
+    const core::JointGraph original = core::BuildJointGraph(
+        record.query, record.cluster, record.placement,
+        core::FeaturizationMode::kFull);
+    const double original_cost = scorer.PredictTarget(ws, record.placement);
+    ASSERT_EQ(original_cost, target.Predict(original));
+    ASSERT_EQ(original_cost, OracleMean(target, original));
   }
 }
 

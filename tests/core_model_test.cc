@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -47,14 +48,14 @@ TEST(CostModelTest, ForwardProducesScalar) {
 
 TEST(CostModelTest, RegressionPredictionNonNegative) {
   CostModel model(CostModelConfig{});
-  EXPECT_GE(model.PredictRegression(SmallGraph()), 0.0);
+  EXPECT_GE(model.Predict(SmallGraph()), 0.0);
 }
 
 TEST(CostModelTest, ProbabilityInUnitInterval) {
   CostModelConfig config;
   config.head = HeadKind::kClassification;
   CostModel model(config);
-  const double p = model.PredictProbability(SmallGraph());
+  const double p = model.Predict(SmallGraph());
   EXPECT_GE(p, 0.0);
   EXPECT_LE(p, 1.0);
 }
@@ -65,26 +66,22 @@ TEST(CostModelTest, DifferentSeedsGiveDifferentPredictions) {
   CostModelConfig b;
   b.seed = 2;
   CostModel ma(a), mb(b);
-  EXPECT_NE(ma.PredictRegression(SmallGraph()),
-            mb.PredictRegression(SmallGraph()));
+  EXPECT_NE(ma.Predict(SmallGraph()), mb.Predict(SmallGraph()));
 }
 
 TEST(CostModelTest, SameSeedIsDeterministic) {
   CostModelConfig config;
   config.seed = 5;
   CostModel a(config), b(config);
-  EXPECT_EQ(a.PredictRegression(SmallGraph()),
-            b.PredictRegression(SmallGraph()));
+  EXPECT_EQ(a.Predict(SmallGraph()), b.Predict(SmallGraph()));
 }
 
 TEST(CostModelTest, PredictionDependsOnPlacement) {
   CostModel model(CostModelConfig{});
   QueryGraph q = SmallQuery(800.0, 0.5);
   sim::Cluster cluster = SmallCluster();
-  const double a =
-      model.PredictRegression(BuildJointGraph(q, cluster, {0, 0, 0}));
-  const double b =
-      model.PredictRegression(BuildJointGraph(q, cluster, {1, 1, 1}));
+  const double a = model.Predict(BuildJointGraph(q, cluster, {0, 0, 0}));
+  const double b = model.Predict(BuildJointGraph(q, cluster, {1, 1, 1}));
   EXPECT_NE(a, b);
 }
 
@@ -94,9 +91,9 @@ TEST(CostModelTest, OperatorsOnlyModeIgnoresPlacement) {
   CostModel model(config);
   QueryGraph q = SmallQuery(800.0, 0.5);
   sim::Cluster cluster = SmallCluster();
-  const double a = model.PredictRegression(BuildJointGraph(
+  const double a = model.Predict(BuildJointGraph(
       q, cluster, {0, 0, 0}, FeaturizationMode::kOperatorsOnly));
-  const double b = model.PredictRegression(BuildJointGraph(
+  const double b = model.Predict(BuildJointGraph(
       q, cluster, {1, 1, 1}, FeaturizationMode::kOperatorsOnly));
   EXPECT_EQ(a, b);
 }
@@ -109,13 +106,13 @@ TEST(CostModelTest, PlacementOnlyModeSeesColocationButNotHardware) {
   sim::Cluster cluster = SmallCluster();
   // All co-located on node 0 vs all co-located on node 1: identical joint
   // graphs because hardware features are blanked.
-  const double a = model.PredictRegression(BuildJointGraph(
+  const double a = model.Predict(BuildJointGraph(
       q, cluster, {0, 0, 0}, FeaturizationMode::kPlacementOnly));
-  const double b = model.PredictRegression(BuildJointGraph(
+  const double b = model.Predict(BuildJointGraph(
       q, cluster, {1, 1, 1}, FeaturizationMode::kPlacementOnly));
   EXPECT_EQ(a, b);
   // But spreading operators across nodes changes the structure.
-  const double c = model.PredictRegression(BuildJointGraph(
+  const double c = model.Predict(BuildJointGraph(
       q, cluster, {0, 1, 1}, FeaturizationMode::kPlacementOnly));
   EXPECT_NE(a, c);
 }
@@ -127,8 +124,8 @@ TEST(CostModelTest, TraditionalMessagePassingDiffersFromStaged) {
   traditional.seed = 3;
   traditional.message_passing = MessagePassingMode::kTraditional;
   CostModel ms(staged), mt(traditional);
-  // Compare raw model outputs (PredictRegression clamps negatives to 0,
-  // which could mask the difference for untrained models).
+  // Compare raw model outputs (Predict clamps negatives to 0, which could
+  // mask the difference for untrained models).
   const JointGraph g = SmallGraph();
   nn::Tape ta, tb;
   const double a = ta.value(ms.Forward(ta, g))(0, 0);
@@ -139,24 +136,24 @@ TEST(CostModelTest, TraditionalMessagePassingDiffersFromStaged) {
 TEST(CostModelTest, SnapshotRestoreRoundTrip) {
   CostModel model(CostModelConfig{});
   const JointGraph g = SmallGraph();
-  const double before = model.PredictRegression(g);
+  const double before = model.Predict(g);
   const auto snapshot = model.SnapshotParameters();
   // Perturb.
   model.parameters()[0]->value.Fill(0.1);
-  EXPECT_NE(model.PredictRegression(g), before);
+  EXPECT_NE(model.Predict(g), before);
   model.RestoreParameters(snapshot);
-  EXPECT_EQ(model.PredictRegression(g), before);
+  EXPECT_EQ(model.Predict(g), before);
 }
 
 TEST(CostModelTest, SaveLoadRoundTrip) {
   CostModel model(CostModelConfig{});
   const JointGraph g = SmallGraph();
-  const double before = model.PredictRegression(g);
+  const double before = model.Predict(g);
   const std::string path = ::testing::TempDir() + "/costream_model.bin";
   ASSERT_TRUE(model.Save(path));
   CostModel loaded(CostModelConfig{});
   ASSERT_TRUE(loaded.Load(path));
-  EXPECT_EQ(loaded.PredictRegression(g), before);
+  EXPECT_EQ(loaded.Predict(g), before);
   std::remove(path.c_str());
 }
 
@@ -174,29 +171,58 @@ TEST(CostModelTest, LoadRejectsDifferentArchitecture) {
 TEST(EnsembleTest, MembersDifferByInitialization) {
   Ensemble ensemble(CostModelConfig{}, 3);
   const JointGraph g = SmallGraph();
-  const double a = ensemble.member(0).PredictRegression(g);
-  const double b = ensemble.member(1).PredictRegression(g);
+  const double a = ensemble.member(0).Predict(g);
+  const double b = ensemble.member(1).Predict(g);
   EXPECT_NE(a, b);
 }
 
+// Every member's encoder output for every node of `graph`: the precomputed
+// encodings the placement scorer hands to Ensemble::Predict.
+std::vector<nn::Matrix> EncodeMembers(const Ensemble& ensemble,
+                                      const JointGraph& graph) {
+  std::vector<nn::Matrix> encoded;
+  nn::Tape tape;
+  nn::Matrix row;
+  for (int m = 0; m < ensemble.size(); ++m) {
+    const CostModel& model = ensemble.member(m);
+    nn::Matrix& out = encoded.emplace_back(
+        static_cast<int>(graph.nodes.size()), model.config().hidden_dim);
+    for (int v = 0; v < out.rows(); ++v) {
+      model.EncodeFeatures(graph.nodes[v].kind, {&graph.nodes[v].features},
+                           tape, row);
+      std::copy_n(row.data(), out.cols(), out.row(v));
+    }
+  }
+  return encoded;
+}
+
+// The ensemble sums in member order, as this test does, so every form of
+// the call (plain, with a scratch, with a plan plus encodings) must give
+// exactly the same bits.
 TEST(EnsembleTest, RegressionPredictionIsMean) {
   Ensemble ensemble(CostModelConfig{}, 3);
   const JointGraph g = SmallGraph();
   double mean = 0.0;
-  for (int i = 0; i < 3; ++i) mean += ensemble.member(i).PredictRegression(g);
+  for (int i = 0; i < 3; ++i) mean += ensemble.member(i).Predict(g);
   mean /= 3.0;
-  EXPECT_NEAR(ensemble.PredictRegression(g), mean, 1e-12);
+  Ensemble::PredictionScratch scratch;
+  ForwardPlan plan;
+  ensemble.member(0).BuildForwardPlan(g, plan);
+  const std::vector<nn::Matrix> encoded = EncodeMembers(ensemble, g);
+  EXPECT_EQ(ensemble.Predict(g), mean);
+  EXPECT_EQ(ensemble.Predict(g, &scratch), mean);
+  EXPECT_EQ(ensemble.Predict(g, &scratch, &plan, &encoded), mean);
 }
 
 TEST(EnsembleTest, SaveLoadRoundTrip) {
   Ensemble ensemble(CostModelConfig{}, 2);
   const JointGraph g = SmallGraph();
-  const double before = ensemble.PredictRegression(g);
+  const double before = ensemble.Predict(g);
   const std::string prefix = ::testing::TempDir() + "/costream_ensemble";
   ASSERT_TRUE(ensemble.Save(prefix));
   Ensemble loaded(CostModelConfig{}, 2);
   ASSERT_TRUE(loaded.Load(prefix));
-  EXPECT_EQ(loaded.PredictRegression(g), before);
+  EXPECT_EQ(loaded.Predict(g), before);
   for (int i = 0; i < 2; ++i) {
     std::remove((prefix + ".member" + std::to_string(i) + ".bin").c_str());
   }
@@ -214,9 +240,15 @@ TEST(EnsembleTest, BinaryPredictionIsMajorityVote) {
   const JointGraph g = SmallGraph();
   int votes = 0;
   for (int i = 0; i < 3; ++i) {
-    if (ensemble.member(i).PredictProbability(g) >= 0.5) ++votes;
+    if (ensemble.member(i).Predict(g) >= 0.5) ++votes;
   }
+  Ensemble::PredictionScratch scratch;
+  ForwardPlan plan;
+  ensemble.member(0).BuildForwardPlan(g, plan);
+  const std::vector<nn::Matrix> encoded = EncodeMembers(ensemble, g);
   EXPECT_EQ(ensemble.PredictBinary(g), votes >= 2);
+  EXPECT_EQ(ensemble.PredictBinary(g, &scratch), votes >= 2);
+  EXPECT_EQ(ensemble.PredictBinary(g, &scratch, &plan, &encoded), votes >= 2);
 }
 
 }  // namespace

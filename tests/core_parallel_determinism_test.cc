@@ -133,12 +133,9 @@ TEST(ParallelDeterminismTest, EnsembleTrainingAndPredictionIdentical) {
   for (const auto& record : records) {
     const core::JointGraph graph = core::BuildJointGraph(
         record.query, record.cluster, record.placement);
-    ASSERT_EQ(serial_ensemble.PredictProbability(graph),
-              parallel_ensemble.PredictProbability(graph));
+    ASSERT_EQ(serial_ensemble.Predict(graph), parallel_ensemble.Predict(graph));
     ASSERT_EQ(serial_ensemble.PredictBinary(graph),
               parallel_ensemble.PredictBinary(graph));
-    ASSERT_EQ(serial_ensemble.PredictRegression(graph),
-              parallel_ensemble.PredictRegression(graph));
   }
 }
 

@@ -54,6 +54,11 @@ JointGraph TestGraph(double rate) {
   return BuildJointGraph(query, cluster, placement);
 }
 
+double RawOutput(const CostModel& model, const JointGraph& graph) {
+  nn::Tape tape;
+  return tape.value(model.Forward(tape, graph))(0, 0);
+}
+
 std::vector<Matrix> Snapshot(CostModel& model) {
   return model.SnapshotParameters();
 }
@@ -81,14 +86,14 @@ TEST_F(SerializeRoundtripTest, RoundTripPreservesPredictionsExactly) {
   CostModel loaded(other);
   const JointGraph g1 = TestGraph(700.0);
   const JointGraph g2 = TestGraph(2500.0);
-  // PredictProbability is strictly monotonic in the raw output (no clamping),
-  // so differing initializations are guaranteed to disagree here.
-  ASSERT_NE(saved.PredictProbability(g1), loaded.PredictProbability(g1));
+  // The raw output is not clamped, so differing initializations are
+  // guaranteed to disagree here.
+  ASSERT_NE(RawOutput(saved, g1), RawOutput(loaded, g1));
 
   ASSERT_TRUE(loaded.Load(path));
-  EXPECT_EQ(saved.PredictRegression(g1), loaded.PredictRegression(g1));
-  EXPECT_EQ(saved.PredictRegression(g2), loaded.PredictRegression(g2));
-  EXPECT_EQ(saved.PredictProbability(g1), loaded.PredictProbability(g1));
+  EXPECT_EQ(saved.Predict(g1), loaded.Predict(g1));
+  EXPECT_EQ(saved.Predict(g2), loaded.Predict(g2));
+  EXPECT_EQ(RawOutput(saved, g1), RawOutput(loaded, g1));
   ExpectParamsEqual(Snapshot(saved), Snapshot(loaded));
 }
 
