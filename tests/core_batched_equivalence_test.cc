@@ -268,16 +268,16 @@ TEST(BatchedEquivalenceTest, PredictionsBitwiseIdentical) {
       }
     }
   }
-  EXPECT_EQ(BitsDigest(raw), 0xdcc866793131da93ull) << std::hex
-                                                    << BitsDigest(raw);
-  EXPECT_EQ(BitsDigest(mapped), 0x5782b59739b9eff9ull) << std::hex
-                                                       << BitsDigest(mapped);
+  const uint64_t raw_digest = BitsDigest(raw);
+  const uint64_t mapped_digest = BitsDigest(mapped);
+  EXPECT_EQ(raw_digest, 0xdcc866793131da93ull) << std::hex << raw_digest;
+  EXPECT_EQ(mapped_digest, 0x5782b59739b9eff9ull) << std::hex << mapped_digest;
 }
 
 // Gradients at initialization and again after each of three training
-// epochs. Training runs the batched forward through the shared TrainLoop, so
-// equal per-sample gradients at every visited weight state imply equal
-// trained weights.
+// epochs, so the oracle is also checked at trained weights. Training runs
+// the one forward through TrainLoop, so equal per-sample gradients are what
+// keeps trained weights equal; no second, per-node training run is needed.
 TEST(BatchedEquivalenceTest, GradientsBitwiseIdentical) {
   const auto records = FixedCorpus(6, 83);
   const auto samples = workload::ToTrainSamples(FixedCorpus(30, 91),

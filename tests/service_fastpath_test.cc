@@ -308,8 +308,7 @@ TEST(ServiceFastPathTest, RankBatchCostsMatchGoldenDigests) {
     placement::QuantizedRanker ranker(queries[0], cluster, &target, &weights);
     std::vector<placement::QuantizedRanker::Request> requests(queries.size());
     for (size_t r = 0; r < queries.size(); ++r) {
-      requests[r].query_slot =
-          r == 0 ? 0 : ranker.AddQuery(queries[r]);
+      requests[r].query_slot = r == 0 ? 0 : ranker.AddQuery(queries[r]);
       requests[r].candidates = &candidates[r];
     }
     std::vector<std::vector<double>> costs;
