@@ -9,6 +9,7 @@
 #include "nn/random.h"
 #include "obs/metrics.h"
 #include "sim/cost_model.h"
+#include "sim/flow_math.h"
 #include "verify/interval_analysis.h"
 #include "verify/verify.h"
 
@@ -19,119 +20,23 @@ namespace {
 using dsps::OperatorDescriptor;
 using dsps::OperatorType;
 using dsps::QueryGraph;
-using dsps::WindowPolicy;
-
-constexpr double kEpsRate = 1e-9;
-constexpr double kMaxDuration = 1e12;
 
 // Utilization above which queueing delays are capped (fluid M/M/1 waiting
 // time would diverge at 1.0).
 constexpr double kQueueCap = 0.97;
 
-// Steady-state flow through one operator at a given source scale.
-struct OpFlow {
-  double in_rate = 0.0;   // tuples/s entering the operator
-  double out_rate = 0.0;  // tuples/s leaving the operator
-  // Window-node quantities (tuples / seconds); zero elsewhere.
-  double window_tuples = 0.0;
-  double window_duration_s = 0.0;
-  double slide_duration_s = 0.0;
-  double groups = 0.0;         // aggregate operators
-  double state_mb = 0.0;       // operator state held in memory
-  double in_bytes = 0.0;       // bytes per input tuple
-  double out_bytes = 0.0;      // bytes per output tuple
-  double cpu_load_us = 0.0;    // microseconds of reference core per second
-  double service_us = 0.0;     // mean per-tuple service time (reference core)
-};
+using Flows = std::vector<Flow<double>>;
 
-std::vector<OpFlow> ComputeFlows(const QueryGraph& query,
-                                 const std::vector<int>& topo, double scale) {
-  std::vector<OpFlow> flows(query.num_operators());
+Flows ComputeFlows(const QueryGraph& query, const std::vector<int>& topo,
+                   double scale) {
+  Flows flows(query.num_operators());
   for (int id : topo) {
     const OperatorDescriptor& op = query.op(id);
-    OpFlow& f = flows[id];
-    f.in_bytes = dsps::TupleBytes(op.tuple_width_in, op.frac_int,
-                                  op.frac_double, op.frac_string);
-    f.out_bytes = dsps::TupleBytes(op.tuple_width_out, op.frac_int,
-                                   op.frac_double, op.frac_string);
     const std::vector<int> upstream = query.Upstream(id);
-    for (int up : upstream) f.in_rate += flows[up].out_rate;
-
-    switch (op.type) {
-      case OperatorType::kSource: {
-        f.out_rate = op.input_event_rate * scale;
-        f.cpu_load_us = f.out_rate * PerTupleCostUs(op);
-        f.service_us = PerTupleCostUs(op);
-        f.in_bytes = f.out_bytes;
-        break;
-      }
-      case OperatorType::kFilter: {
-        f.out_rate = f.in_rate * op.selectivity;
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us = f.in_rate * f.service_us;
-        break;
-      }
-      case OperatorType::kWindow: {
-        f.out_rate = f.in_rate;
-        const double rate = std::max(f.in_rate, kEpsRate);
-        if (op.window.policy == WindowPolicy::kCountBased) {
-          f.window_tuples = op.window.size;
-          f.window_duration_s = std::min(op.window.size / rate, kMaxDuration);
-          f.slide_duration_s =
-              std::min(op.window.EffectiveSlide() / rate, kMaxDuration);
-        } else {
-          f.window_duration_s = op.window.size;
-          f.window_tuples = rate * op.window.size;
-          f.slide_duration_s = op.window.EffectiveSlide();
-        }
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us = f.in_rate * f.service_us;
-        f.state_mb = WindowStateMb(f.window_tuples, f.in_bytes);
-        break;
-      }
-      case OperatorType::kAggregate: {
-        COSTREAM_CHECK(upstream.size() == 1);
-        const OpFlow& w = flows[upstream[0]];
-        const bool grouped = op.group_by_type != dsps::GroupByType::kNone;
-        f.groups = grouped
-                       ? std::clamp(op.selectivity * w.window_tuples, 1.0,
-                                    std::max(w.window_tuples, 1.0))
-                       : 1.0;
-        const double slide = std::max(w.slide_duration_s, 1e-6);
-        f.out_rate = w.window_tuples > 0.0 ? f.groups / slide : 0.0;
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us =
-            f.in_rate * f.service_us + f.out_rate * PerOutputCostUs(op);
-        f.state_mb = AggregateStateMb(f.groups, f.out_bytes);
-        break;
-      }
-      case OperatorType::kJoin: {
-        COSTREAM_CHECK(upstream.size() == 2);
-        const OpFlow& w1 = flows[upstream[0]];
-        const OpFlow& w2 = flows[upstream[1]];
-        // Each arriving tuple of stream 1 probes window 2 and vice versa
-        // (Definition 7 gives the match probability).
-        const double matches = op.selectivity * (w1.out_rate * w2.window_tuples +
-                                                 w2.out_rate * w1.window_tuples);
-        f.out_rate = matches;
-        const double cost1 = PerTupleCostUs(op, w2.window_tuples);
-        const double cost2 = PerTupleCostUs(op, w1.window_tuples);
-        f.cpu_load_us = w1.out_rate * cost1 + w2.out_rate * cost2 +
-                        f.out_rate * PerOutputCostUs(op);
-        const double total_in = std::max(w1.out_rate + w2.out_rate, kEpsRate);
-        f.service_us = (w1.out_rate * cost1 + w2.out_rate * cost2) / total_in;
-        // Probe index over both windows.
-        f.state_mb = 0.3 * (WindowStateMb(w1.window_tuples, w1.out_bytes) +
-                            WindowStateMb(w2.window_tuples, w2.out_bytes));
-        break;
-      }
-      case OperatorType::kSink: {
-        f.out_rate = f.in_rate;
-        f.service_us = PerTupleCostUs(op);
-        f.cpu_load_us = f.in_rate * f.service_us;
-        break;
-      }
-    }
+    COSTREAM_CHECK(op.type != OperatorType::kAggregate ||
+                   upstream.size() == 1);
+    COSTREAM_CHECK(op.type != OperatorType::kJoin || upstream.size() == 2);
+    FlowStep(op, upstream, flows, scale, op.selectivity, flows[id]);
   }
   return flows;
 }
@@ -145,78 +50,33 @@ struct NodeEval {
 };
 
 NodeEval EvaluateNodes(const QueryGraph& query, const Cluster& cluster,
-                       const Placement& placement,
-                       const std::vector<OpFlow>& flows,
+                       const Placement& placement, const Flows& flows,
                        const BackgroundLoad& background) {
   NodeEval eval;
-  eval.stats.resize(cluster.num_nodes());
-  std::vector<double> cpu_load(cluster.num_nodes(), 0.0);
-  std::vector<double> out_bytes(cluster.num_nodes(), 0.0);
-  std::vector<bool> hosts_op(cluster.num_nodes(), false);
-  if (!background.empty()) {
-    COSTREAM_CHECK(static_cast<int>(background.cpu_load_us.size()) ==
-                   cluster.num_nodes());
-    for (int n = 0; n < cluster.num_nodes(); ++n) {
-      cpu_load[n] += background.cpu_load_us[n];
-      out_bytes[n] += background.out_bytes_per_s[n];
-      eval.stats[n].memory_mb += background.memory_mb[n];
-    }
-  }
-
-  for (int id = 0; id < query.num_operators(); ++id) {
-    const int node = placement[id];
-    hosts_op[node] = true;
-    cpu_load[node] += flows[id].cpu_load_us;
-    eval.stats[node].memory_mb += flows[id].state_mb;
-    // In-flight queue buffers (~50ms of arrivals).
-    eval.stats[node].memory_mb += flows[id].in_rate * flows[id].in_bytes *
-                                  kInflightBufferSeconds / (1024.0 * 1024.0);
-  }
-  // Per-link traffic: co-routed flows (edges placed over the same directed
-  // node pair) sum into the same link and therefore share its capacity.
+  std::vector<NodeLoad<double>> loads(cluster.num_nodes());
   const bool has_links = cluster.has_link_matrix();
-  std::vector<double> link_bytes;
-  if (has_links) {
-    link_bytes.assign(
-        static_cast<size_t>(cluster.num_nodes()) * cluster.num_nodes(), 0.0);
-  }
-  for (const auto& [from, to] : query.edges()) {
-    if (placement[from] != placement[to]) {
-      out_bytes[placement[from]] += flows[from].out_rate * flows[from].out_bytes;
-      if (has_links) {
-        link_bytes[placement[from] * cluster.num_nodes() + placement[to]] +=
-            flows[from].out_rate * flows[from].out_bytes;
-      }
-    }
-  }
+  AccumulateNodeLoads(query, placement, flows, &background, loads,
+                      has_links ? &eval.link_utilization : nullptr);
+  eval.stats.resize(cluster.num_nodes());
   for (int n = 0; n < cluster.num_nodes(); ++n) {
-    NodeStats& s = eval.stats[n];
-    if (hosts_op[n]) s.memory_mb += kWorkerBaseMemoryMb;
+    NodeLoad<double>& load = loads[n];
     const HardwareNode& hw = cluster.nodes[n];
-    s.gc_factor = GcSlowdown(s.memory_mb, hw.ram_mb);
+    UtilizeNode(hw, load);
+    NodeStats& s = eval.stats[n];
+    s.cpu_utilization = load.cpu_utilization;
+    s.net_utilization = load.net_utilization;
+    s.memory_mb = load.memory_mb;
+    s.gc_factor = load.gc_factor;
     s.crashed = s.memory_mb > CrashMemoryMb(hw.ram_mb);
-    const double cores = hw.cpu_pct / 100.0;
-    s.cpu_utilization = cpu_load[n] * s.gc_factor / 1e6 / std::max(cores, 1e-3);
-    s.net_utilization =
-        out_bytes[n] * 8.0 / std::max(hw.bandwidth_mbits * 1e6, 1.0);
     eval.max_utilization = std::max(
         eval.max_utilization, std::max(s.cpu_utilization, s.net_utilization));
   }
   // Per-link constraint: a WAN link saturates independently of the sender's
   // NIC, and every flow routed over it is throttled together.
   if (has_links) {
-    const int n = cluster.num_nodes();
-    eval.link_utilization.assign(static_cast<size_t>(n) * n, 0.0);
-    for (int from = 0; from < n; ++from) {
-      for (int to = 0; to < n; ++to) {
-        const double bytes = link_bytes[from * n + to];
-        if (bytes <= 0.0) continue;
-        const double util =
-            bytes * 8.0 /
-            std::max(cluster.LinkBandwidthMbits(from, to) * 1e6, 1.0);
-        eval.link_utilization[from * n + to] = util;
-        eval.max_utilization = std::max(eval.max_utilization, util);
-      }
+    UtilizeLinks(cluster, eval.link_utilization);
+    for (double util : eval.link_utilization) {
+      eval.max_utilization = std::max(eval.max_utilization, util);
     }
   }
   // Per-operator constraint: one operator instance runs single-threaded, so
@@ -247,6 +107,11 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
   COSTREAM_CHECK_MSG(query.Validate().empty(), query.Validate().c_str());
   COSTREAM_CHECK_MSG(ValidatePlacement(query, cluster, placement).empty(),
                      "invalid placement");
+  COSTREAM_CHECK_MSG(ValidateLinkMatrix(cluster).empty(),
+                     ValidateLinkMatrix(cluster).c_str());
+  COSTREAM_CHECK(config.background.empty() ||
+                 static_cast<int>(config.background.cpu_load_us.size()) ==
+                     cluster.num_nodes());
   if (verify::VerificationEnabled()) {
     verify::VerifyReport vreport;
     verify::VerifyPlacedQuery(query, cluster, placement, &vreport);
@@ -263,7 +128,7 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
   const std::vector<int> topo = query.TopologicalOrder();
 
   // Utilization at the nominal rates decides backpressure.
-  const std::vector<OpFlow> nominal_flows = ComputeFlows(query, topo, 1.0);
+  const Flows nominal_flows = ComputeFlows(query, topo, 1.0);
   const NodeEval nominal_eval = EvaluateNodes(query, cluster, placement,
                                               nominal_flows,
                                               config.background);
@@ -282,8 +147,7 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
     for (int iter = 0; iter < 40; ++iter) {
       metric_bisect_iters.Increment();
       const double mid = 0.5 * (lo + hi);
-      const std::vector<OpFlow> flows =
-          ComputeFlows(query, topo, std::max(mid, 1e-9));
+      const Flows flows = ComputeFlows(query, topo, std::max(mid, 1e-9));
       const NodeEval eval = EvaluateNodes(query, cluster, placement, flows,
                                           config.background);
       if (eval.max_utilization > 1.0) {
@@ -296,7 +160,7 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
   }
   report.source_scale = scale;
 
-  const std::vector<OpFlow> flows = ComputeFlows(query, topo, scale);
+  const Flows flows = ComputeFlows(query, topo, scale);
   const NodeEval eval =
       EvaluateNodes(query, cluster, placement, flows, config.background);
   report.node_stats = eval.stats;
@@ -478,32 +342,20 @@ BackgroundLoad ComputeBackgroundLoad(const QueryGraph& query,
   config.noise_sigma = 0.0;
   const FluidReport report = EvaluateFluid(query, cluster, placement, config);
 
+  const Flows flows =
+      ComputeFlows(query, query.TopologicalOrder(), report.source_scale);
+  std::vector<NodeLoad<double>> loads(cluster.num_nodes());
+  // Each query runs its own worker process on every node it touches, so the
+  // loads include the worker base memory.
+  AccumulateNodeLoads(query, placement, flows, nullptr, loads, nullptr);
   BackgroundLoad load;
-  load.cpu_load_us.assign(cluster.num_nodes(), 0.0);
-  load.out_bytes_per_s.assign(cluster.num_nodes(), 0.0);
-  load.memory_mb.assign(cluster.num_nodes(), 0.0);
-
-  const std::vector<int> topo = query.TopologicalOrder();
-  const std::vector<OpFlow> flows =
-      ComputeFlows(query, topo, report.source_scale);
-  std::vector<bool> hosts_op(cluster.num_nodes(), false);
-  for (int id = 0; id < query.num_operators(); ++id) {
-    const int n = placement[id];
-    hosts_op[n] = true;
-    load.cpu_load_us[n] += flows[id].cpu_load_us;
-    load.memory_mb[n] += flows[id].state_mb;
-    load.memory_mb[n] += flows[id].in_rate * flows[id].in_bytes *
-                         kInflightBufferSeconds / (1024.0 * 1024.0);
-  }
-  for (const auto& [from, to] : query.edges()) {
-    if (placement[from] != placement[to]) {
-      load.out_bytes_per_s[placement[from]] +=
-          flows[from].out_rate * flows[from].out_bytes;
-    }
-  }
-  // Each query runs its own worker process on every node it touches.
-  for (int n = 0; n < cluster.num_nodes(); ++n) {
-    if (hosts_op[n]) load.memory_mb[n] += kWorkerBaseMemoryMb;
+  load.cpu_load_us.reserve(loads.size());
+  load.out_bytes_per_s.reserve(loads.size());
+  load.memory_mb.reserve(loads.size());
+  for (const NodeLoad<double>& s : loads) {
+    load.cpu_load_us.push_back(s.cpu_load_us);
+    load.out_bytes_per_s.push_back(s.egress_bytes_per_s);
+    load.memory_mb.push_back(s.memory_mb);
   }
   return load;
 }
@@ -527,8 +379,9 @@ void AccumulateBackgroundLoad(const BackgroundLoad& extra, int nodes,
 
 NodeCapacity CapacityOf(const HardwareNode& node) {
   NodeCapacity cap;
-  // Mirrors EvaluateNodes: cpu_utilization = cpu_load_us / 1e6 / cores and
-  // net_utilization = out_bytes * 8 / (bandwidth_mbits * 1e6).
+  // The capacities UtilizeNode (flow_math.h) divides by: cpu_utilization =
+  // cpu_load_us / 1e6 / cores, net_utilization = out_bytes * 8 /
+  // (bandwidth_mbits * 1e6).
   cap.cpu_us_per_s = std::max(node.cpu_pct / 100.0, 1e-3) * 1e6;
   cap.net_bytes_per_s = std::max(node.bandwidth_mbits * 1e6, 1.0) / 8.0;
   cap.ram_mb = node.ram_mb;

@@ -14,21 +14,16 @@ namespace {
 using dsps::OperatorDescriptor;
 using dsps::OperatorType;
 using dsps::QueryGraph;
-using dsps::WindowPolicy;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Mirror of the fluid engine's private flow constants (fluid_engine.cc):
-// the transfer functions must divide by the same floored rates and cap the
-// same durations, or the oracle containment would be off by more than FP
-// slack.
-constexpr double kEpsRate = 1e-9;
-constexpr double kMaxDuration = 1e12;
+using FlowField = Interval sim::Flow<Interval>::*;
 
-// 0 * inf is 0 for our quantities: a zero rate carries no load no matter how
-// wide the opposite bound is.
-double SafeMul(double a, double b) {
-  return (a == 0.0 || b == 0.0) ? 0.0 : a * b;
+// The service-time bound feeds only the fluid latency DP: the analysis
+// carries a sound bound for it (joined and widened like the rest), but the
+// fixpoint test and the divergence check look at the proven quantities only.
+bool Proven(FlowField field) {
+  return field != &sim::Flow<Interval>::service_us;
 }
 
 std::string OpLoc(int id) { return "op[" + std::to_string(id) + "]"; }
@@ -38,12 +33,10 @@ bool FiniteInterval(const Interval& v) {
 }
 
 bool OpFinite(const OpIntervals& f) {
-  return FiniteInterval(f.in_rate) && FiniteInterval(f.out_rate) &&
-         FiniteInterval(f.window_tuples) &&
-         FiniteInterval(f.window_duration_s) &&
-         FiniteInterval(f.slide_duration_s) && FiniteInterval(f.groups) &&
-         FiniteInterval(f.state_mb) && FiniteInterval(f.cpu_load_us) &&
-         std::isfinite(f.min_delay_ms);
+  for (FlowField field : sim::kFlowFields<Interval>) {
+    if (Proven(field) && !FiniteInterval(f.*field)) return false;
+  }
+  return std::isfinite(f.min_delay_ms);
 }
 
 // Selectivity interval under the configured uncertainty. At zero uncertainty
@@ -55,172 +48,50 @@ Interval SelInterval(double selectivity, const IntervalOptions& options) {
           std::clamp(selectivity + u, 0.0, 1.0)};
 }
 
-// One operator's transfer function: recomputes its intervals from the
-// current upstream intervals, mirroring ComputeFlows (fluid_engine.cc) at
-// scale == 1 formula by formula. Every formula is monotone nondecreasing in
-// the upstream flow quantities except the count-based window durations
-// (antitone in the rate), which pair the opposite endpoints — so endpoint
-// evaluation yields sound bounds.
+// One operator's transfer function: the shared flow step over the seeded
+// source-rate band and selectivity interval, plus the window residence
+// delay.
 OpIntervals Transfer(const QueryGraph& query, int id,
                      const std::vector<OpIntervals>& flows,
                      const IntervalOptions& options) {
   const OperatorDescriptor& op = query.op(id);
-  OpIntervals f;
-  f.in_bytes = dsps::TupleBytes(op.tuple_width_in, op.frac_int, op.frac_double,
-                                op.frac_string);
-  f.out_bytes = dsps::TupleBytes(op.tuple_width_out, op.frac_int,
-                                 op.frac_double, op.frac_string);
   const std::vector<int> upstream = query.Upstream(id);
+  const double u = options.rate_uncertainty;
+  OpIntervals f;
+  sim::FlowStep(op, upstream, flows, Interval{1.0 - u, 1.0 + u},
+                SelInterval(op.selectivity, options), f);
   for (int up : upstream) {
-    f.in_rate = IntervalAdd(f.in_rate, flows[up].out_rate);
     f.min_delay_ms = std::max(f.min_delay_ms, flows[up].min_delay_ms);
   }
-
-  switch (op.type) {
-    case OperatorType::kSource: {
-      const double u = options.rate_uncertainty;
-      f.out_rate = {SafeMul(op.input_event_rate, 1.0 - u),
-                    SafeMul(op.input_event_rate, 1.0 + u)};
-      const double cost = sim::PerTupleCostUs(op);
-      f.cpu_load_us = IntervalMul(f.out_rate, Interval::Point(cost));
-      f.in_bytes = f.out_bytes;
-      break;
-    }
-    case OperatorType::kFilter: {
-      f.out_rate = IntervalMul(f.in_rate, SelInterval(op.selectivity, options));
-      f.cpu_load_us =
-          IntervalMul(f.in_rate, Interval::Point(sim::PerTupleCostUs(op)));
-      break;
-    }
-    case OperatorType::kWindow: {
-      f.out_rate = f.in_rate;
-      const Interval rate = IntervalMax(f.in_rate, kEpsRate);
-      if (op.window.policy == WindowPolicy::kCountBased) {
-        f.window_tuples = Interval::Point(op.window.size);
-        // Durations are antitone in the rate: the fastest arrivals fill the
-        // window soonest.
-        f.window_duration_s = {
-            std::min(op.window.size / rate.hi, kMaxDuration),
-            std::min(op.window.size / rate.lo, kMaxDuration)};
-        f.slide_duration_s = {
-            std::min(op.window.EffectiveSlide() / rate.hi, kMaxDuration),
-            std::min(op.window.EffectiveSlide() / rate.lo, kMaxDuration)};
-      } else {
-        f.window_duration_s = Interval::Point(op.window.size);
-        f.window_tuples = IntervalMul(rate, Interval::Point(op.window.size));
-        f.slide_duration_s = Interval::Point(op.window.EffectiveSlide());
-      }
-      f.cpu_load_us =
-          IntervalMul(f.in_rate, Interval::Point(sim::PerTupleCostUs(op)));
-      f.state_mb = {sim::WindowStateMb(f.window_tuples.lo, f.in_bytes),
-                    sim::WindowStateMb(f.window_tuples.hi, f.in_bytes)};
-      break;
-    }
-    case OperatorType::kAggregate: {
-      const OpIntervals w =
-          upstream.size() == 1 ? flows[upstream[0]] : OpIntervals{};
-      const bool grouped = op.group_by_type != dsps::GroupByType::kNone;
-      if (grouped) {
-        const Interval sel = SelInterval(op.selectivity, options);
-        // clamp(x, 1, max(wt, 1)) is nondecreasing in x and wt jointly.
-        f.groups = {std::clamp(SafeMul(sel.lo, w.window_tuples.lo), 1.0,
-                               std::max(w.window_tuples.lo, 1.0)),
-                    std::clamp(SafeMul(sel.hi, w.window_tuples.hi), 1.0,
-                               std::max(w.window_tuples.hi, 1.0))};
-      } else {
-        f.groups = Interval::Point(1.0);
-      }
-      const Interval slide = IntervalMax(w.slide_duration_s, 1e-6);
-      f.out_rate = {
-          w.window_tuples.lo > 0.0 ? f.groups.lo / slide.hi : 0.0,
-          w.window_tuples.hi > 0.0 ? f.groups.hi / slide.lo : 0.0};
-      f.cpu_load_us = IntervalAdd(
-          IntervalMul(f.in_rate, Interval::Point(sim::PerTupleCostUs(op))),
-          IntervalMul(f.out_rate, Interval::Point(sim::PerOutputCostUs(op))));
-      f.state_mb = {sim::AggregateStateMb(f.groups.lo, f.out_bytes),
-                    sim::AggregateStateMb(f.groups.hi, f.out_bytes)};
-      break;
-    }
-    case OperatorType::kJoin: {
-      const OpIntervals w1 =
-          upstream.size() >= 1 ? flows[upstream[0]] : OpIntervals{};
-      const OpIntervals w2 =
-          upstream.size() >= 2 ? flows[upstream[1]] : OpIntervals{};
-      const Interval sel = SelInterval(op.selectivity, options);
-      const Interval pairings =
-          IntervalAdd(IntervalMul(w1.out_rate, w2.window_tuples),
-                      IntervalMul(w2.out_rate, w1.window_tuples));
-      f.out_rate = IntervalMul(sel, pairings);
-      // The probe cost grows (logarithmically) with the opposite window.
-      const Interval cost1 = {sim::PerTupleCostUs(op, w2.window_tuples.lo),
-                              sim::PerTupleCostUs(op, w2.window_tuples.hi)};
-      const Interval cost2 = {sim::PerTupleCostUs(op, w1.window_tuples.lo),
-                              sim::PerTupleCostUs(op, w1.window_tuples.hi)};
-      f.cpu_load_us = IntervalAdd(
-          IntervalAdd(IntervalMul(w1.out_rate, cost1),
-                      IntervalMul(w2.out_rate, cost2)),
-          IntervalMul(f.out_rate, Interval::Point(sim::PerOutputCostUs(op))));
-      f.state_mb = {
-          0.3 * (sim::WindowStateMb(w1.window_tuples.lo, w1.out_bytes) +
-                 sim::WindowStateMb(w2.window_tuples.lo, w2.out_bytes)),
-          0.3 * (sim::WindowStateMb(w1.window_tuples.hi, w1.out_bytes) +
-                 sim::WindowStateMb(w2.window_tuples.hi, w2.out_bytes))};
-      break;
-    }
-    case OperatorType::kSink: {
-      f.out_rate = f.in_rate;
-      f.cpu_load_us =
-          IntervalMul(f.in_rate, Interval::Point(sim::PerTupleCostUs(op)));
-      break;
-    }
-  }
-  // Windowed results wait for the window to fill/slide (latency DP mirror);
-  // the lower bound is sound at any source scale because throttling only
-  // lengthens count-based windows.
+  // Windowed results wait for the window to fill/slide (as in the fluid
+  // latency DP); the lower bound is sound at any source scale because
+  // throttling only lengthens count-based windows.
   f.min_delay_ms +=
       (f.window_duration_s.lo + f.slide_duration_s.lo) * 0.5 * 1000.0;
   return f;
 }
 
-bool SameInterval(const Interval& a, const Interval& b) {
-  return a.lo == b.lo && a.hi == b.hi;
-}
-
 bool SameOp(const OpIntervals& a, const OpIntervals& b) {
-  return SameInterval(a.in_rate, b.in_rate) &&
-         SameInterval(a.out_rate, b.out_rate) &&
-         SameInterval(a.window_tuples, b.window_tuples) &&
-         SameInterval(a.window_duration_s, b.window_duration_s) &&
-         SameInterval(a.slide_duration_s, b.slide_duration_s) &&
-         SameInterval(a.groups, b.groups) &&
-         SameInterval(a.state_mb, b.state_mb) &&
-         SameInterval(a.cpu_load_us, b.cpu_load_us) &&
-         a.min_delay_ms == b.min_delay_ms;
+  for (FlowField field : sim::kFlowFields<Interval>) {
+    if (Proven(field) &&
+        ((a.*field).lo != (b.*field).lo || (a.*field).hi != (b.*field).hi)) {
+      return false;
+    }
+  }
+  return a.min_delay_ms == b.min_delay_ms;
 }
 
 OpIntervals JoinOps(const OpIntervals& a, const OpIntervals& b) {
   OpIntervals j = b;
-  j.in_rate = IntervalJoin(a.in_rate, b.in_rate);
-  j.out_rate = IntervalJoin(a.out_rate, b.out_rate);
-  j.window_tuples = IntervalJoin(a.window_tuples, b.window_tuples);
-  j.window_duration_s = IntervalJoin(a.window_duration_s, b.window_duration_s);
-  j.slide_duration_s = IntervalJoin(a.slide_duration_s, b.slide_duration_s);
-  j.groups = IntervalJoin(a.groups, b.groups);
-  j.state_mb = IntervalJoin(a.state_mb, b.state_mb);
-  j.cpu_load_us = IntervalJoin(a.cpu_load_us, b.cpu_load_us);
+  for (FlowField field : sim::kFlowFields<Interval>) {
+    j.*field = IntervalJoin(a.*field, b.*field);
+  }
   j.min_delay_ms = std::min(a.min_delay_ms, b.min_delay_ms);
   return j;
 }
 
 void WidenOp(OpIntervals* f) {
-  f->in_rate.hi = kInf;
-  f->out_rate.hi = kInf;
-  f->window_tuples.hi = kInf;
-  f->window_duration_s.hi = kInf;
-  f->slide_duration_s.hi = kInf;
-  f->groups.hi = kInf;
-  f->state_mb.hi = kInf;
-  f->cpu_load_us.hi = kInf;
+  for (FlowField field : sim::kFlowFields<Interval>) (f->*field).hi = kInf;
   // The delay lower bound stays a lower bound (0 is always sound).
   f->min_delay_ms = 0.0;
 }
@@ -254,22 +125,6 @@ bool Interval::Contains(double v, double rel_tol) const {
   if (hi == kInf) return true;
   const double slack_hi = rel_tol * std::max(1.0, std::abs(hi));
   return v <= hi + slack_hi;
-}
-
-Interval IntervalAdd(const Interval& a, const Interval& b) {
-  return {a.lo + b.lo, a.hi + b.hi};
-}
-
-Interval IntervalMul(const Interval& a, const Interval& b) {
-  return {SafeMul(a.lo, b.lo), SafeMul(a.hi, b.hi)};
-}
-
-Interval IntervalDiv(const Interval& a, const Interval& b) {
-  return {a.lo / b.hi, a.hi / b.lo};
-}
-
-Interval IntervalMax(const Interval& a, double floor) {
-  return {std::max(a.lo, floor), std::max(a.hi, floor)};
 }
 
 Interval IntervalJoin(const Interval& a, const Interval& b) {
@@ -373,76 +228,17 @@ PlacementIntervalSummary AnalyzePlacementIntervals(
   }
   summary.nodes.resize(nodes);
 
-  // Mirror of EvaluateNodes, accumulated in the same order (background
-  // first, then operators ascending, then edges in insertion order) so the
-  // point-interval case tracks the fluid engine to FP-contraction precision.
-  if (background != nullptr && !background->empty() &&
-      static_cast<int>(background->cpu_load_us.size()) == nodes) {
-    for (int node = 0; node < nodes; ++node) {
-      NodeIntervals& s = summary.nodes[node];
-      s.cpu_load_us =
-          IntervalAdd(s.cpu_load_us,
-                      Interval::Point(background->cpu_load_us[node]));
-      s.egress_bytes_per_s =
-          IntervalAdd(s.egress_bytes_per_s,
-                      Interval::Point(background->out_bytes_per_s[node]));
-      s.memory_mb = IntervalAdd(s.memory_mb,
-                                Interval::Point(background->memory_mb[node]));
-    }
-  }
-  for (int id = 0; id < n; ++id) {
-    const OpIntervals& f = intervals.ops[id];
-    NodeIntervals& s = summary.nodes[placement[id]];
-    s.hosts_op = true;
-    s.cpu_load_us = IntervalAdd(s.cpu_load_us, f.cpu_load_us);
-    s.memory_mb = IntervalAdd(s.memory_mb, f.state_mb);
-    // In-flight queue buffers, same expression as EvaluateNodes.
-    s.memory_mb = IntervalAdd(
-        s.memory_mb,
-        {SafeMul(f.in_rate.lo, f.in_bytes) * sim::kInflightBufferSeconds /
-             (1024.0 * 1024.0),
-         SafeMul(f.in_rate.hi, f.in_bytes) * sim::kInflightBufferSeconds /
-             (1024.0 * 1024.0)});
-  }
   const bool has_links =
       cluster.has_link_matrix() && sim::ValidateLinkMatrix(cluster).empty();
-  std::vector<Interval> link_bytes;
-  if (has_links) {
-    link_bytes.assign(static_cast<size_t>(nodes) * nodes, Interval{});
-  }
-  for (const auto& [from, to] : query.edges()) {
-    if (placement[from] == placement[to]) continue;
-    const OpIntervals& f = intervals.ops[from];
-    const Interval bytes = {SafeMul(f.out_rate.lo, f.out_bytes),
-                            SafeMul(f.out_rate.hi, f.out_bytes)};
-    NodeIntervals& s = summary.nodes[placement[from]];
-    s.egress_bytes_per_s = IntervalAdd(s.egress_bytes_per_s, bytes);
-    if (has_links) {
-      Interval& l = link_bytes[placement[from] * nodes + placement[to]];
-      l = IntervalAdd(l, bytes);
-    }
-  }
+  const bool loaded = background != nullptr &&
+                      static_cast<int>(background->cpu_load_us.size()) == nodes;
+  sim::AccumulateNodeLoads(query, placement, intervals.ops,
+                           loaded ? background : nullptr, summary.nodes,
+                           has_links ? &summary.link_utilization : nullptr);
   for (int node = 0; node < nodes; ++node) {
     NodeIntervals& s = summary.nodes[node];
-    if (s.hosts_op) {
-      s.memory_mb =
-          IntervalAdd(s.memory_mb, Interval::Point(sim::kWorkerBaseMemoryMb));
-    }
     const sim::HardwareNode& hw = cluster.nodes[node];
-    s.gc_factor = {sim::GcSlowdown(s.memory_mb.lo, hw.ram_mb),
-                   std::isfinite(s.memory_mb.hi)
-                       ? sim::GcSlowdown(s.memory_mb.hi, hw.ram_mb)
-                       : kInf};
-    const double cores = hw.cpu_pct / 100.0;
-    s.cpu_utilization = {
-        SafeMul(s.cpu_load_us.lo, s.gc_factor.lo) / 1e6 /
-            std::max(cores, 1e-3),
-        SafeMul(s.cpu_load_us.hi, s.gc_factor.hi) / 1e6 /
-            std::max(cores, 1e-3)};
-    s.net_utilization = {
-        s.egress_bytes_per_s.lo * 8.0 / std::max(hw.bandwidth_mbits * 1e6, 1.0),
-        s.egress_bytes_per_s.hi * 8.0 /
-            std::max(hw.bandwidth_mbits * 1e6, 1.0)};
+    sim::UtilizeNode(hw, s);
     s.proven_crash = s.memory_mb.lo > sim::CrashMemoryMb(hw.ram_mb);
     s.proven_overload =
         s.cpu_utilization.lo > 1.0 || s.net_utilization.lo > 1.0;
@@ -469,16 +265,10 @@ PlacementIntervalSummary AnalyzePlacementIntervals(
     }
   }
   if (has_links) {
-    summary.link_utilization.assign(static_cast<size_t>(nodes) * nodes,
-                                    Interval{});
+    sim::UtilizeLinks(cluster, summary.link_utilization);
     for (int from = 0; from < nodes; ++from) {
       for (int to = 0; to < nodes; ++to) {
-        const Interval bytes = link_bytes[from * nodes + to];
-        if (bytes.hi <= 0.0) continue;
-        const double cap =
-            std::max(cluster.LinkBandwidthMbits(from, to) * 1e6, 1.0);
-        const Interval util = {bytes.lo * 8.0 / cap, bytes.hi * 8.0 / cap};
-        summary.link_utilization[from * nodes + to] = util;
+        const Interval& util = summary.link_utilization[from * nodes + to];
         if (report != nullptr && util.lo > 1.0) {
           report->Add(kRuleIntervalLinkChoked, Severity::kWarning,
                       "link[" + std::to_string(from) + "->" +

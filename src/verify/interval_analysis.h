@@ -1,10 +1,15 @@
 #ifndef COSTREAM_VERIFY_INTERVAL_ANALYSIS_H_
 #define COSTREAM_VERIFY_INTERVAL_ANALYSIS_H_
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dsps/query_graph.h"
+#include "sim/cost_model.h"
+#include "sim/flow_math.h"
 #include "sim/fluid_engine.h"
 #include "sim/hardware.h"
 #include "verify/rules.h"
@@ -14,13 +19,14 @@ namespace costream::verify {
 // Interval abstract interpretation over streaming-query DAGs (DF rule
 // family). The analysis propagates closed [lo, hi] intervals for tuple
 // rates, window contents, operator state and CPU load forward through the
-// operator graph, using transfer functions that over-approximate the fluid
-// engine's steady-state flow math exactly (same formulas, evaluated at the
-// interval endpoints — every per-quantity formula is monotone in its flow
-// inputs, so endpoint evaluation is sound). Combined with a placement and a
-// cluster, the per-operator intervals yield *proven* per-node CPU/RAM/network
-// and per-directed-link bandwidth intervals: any value the fluid engine can
-// produce at the nominal source rates lies inside them. Three consumers:
+// operator graph. It runs the fluid engine's own flow math
+// (sim/flow_math.h) instantiated at Interval: every formula is monotone in
+// its flow inputs and the divisions pair opposite endpoints, so the bounds
+// are sound, and a point interval equals the fluid value bit for bit.
+// Combined with a placement and a cluster, the per-operator intervals yield
+// *proven* per-node CPU/RAM/network and per-directed-link bandwidth
+// intervals: any value the fluid engine can produce at the nominal source
+// rates lies inside them. Three consumers:
 //
 //   * lint rules DF001-DF005 (VerifyPlacedQuery / costream_lint),
 //   * a runtime oracle cross-checking every fluid evaluation (CheckFluidOracle,
@@ -30,10 +36,15 @@ namespace costream::verify {
 
 // Closed interval over non-negative reals (hi may be +infinity after
 // widening). The empty interval is represented by lo > hi and only appears
-// transiently for inconsistent inputs (DF004).
+// transiently for inconsistent inputs (DF004). A double converts to the
+// point interval, so the shared flow math can mix intervals and constants.
 struct Interval {
   double lo = 0.0;
   double hi = 0.0;
+
+  constexpr Interval() = default;
+  constexpr Interval(double v) : lo(v), hi(v) {}
+  constexpr Interval(double lo_in, double hi_in) : lo(lo_in), hi(hi_in) {}
 
   static Interval Point(double v) { return {v, v}; }
   static Interval Of(double lo, double hi) { return {lo, hi}; }
@@ -41,19 +52,55 @@ struct Interval {
   bool valid() const { return lo <= hi; }
   bool is_point() const { return lo == hi; }
 
-  // Containment with relative slack: mirrored formulas in two translation
-  // units may round differently (FP contraction), so the oracle allows a few
-  // hundred ulps of slack around the proven bounds.
+  // Containment with relative slack. Point intervals equal the fluid values
+  // exactly; the slack keeps the oracle a soundness check on the bounds, not
+  // an equality check.
   bool Contains(double v, double rel_tol) const;
 };
 
-// Sound interval arithmetic over non-negative quantities. Mul treats
-// 0 * inf as 0 (the supremum of x*y over bounded x is what we bound).
-Interval IntervalAdd(const Interval& a, const Interval& b);
-Interval IntervalMul(const Interval& a, const Interval& b);
-// a / b with b > 0 elementwise (callers floor the denominator first).
-Interval IntervalDiv(const Interval& a, const Interval& b);
-Interval IntervalMax(const Interval& a, double floor);
+// Sound interval arithmetic over non-negative quantities, endpoint by
+// endpoint: the operations the shared flow math (sim/flow_math.h) uses.
+inline Interval operator+(const Interval& a, const Interval& b) {
+  return {a.lo + b.lo, a.hi + b.hi};
+}
+// 0 * inf is 0 for these quantities: a zero rate carries no load no matter
+// how wide the opposite bound is.
+inline Interval operator*(const Interval& a, const Interval& b) {
+  auto mul = [](double x, double y) {
+    return (x == 0.0 || y == 0.0) ? 0.0 : x * y;
+  };
+  return {mul(a.lo, b.lo), mul(a.hi, b.hi)};
+}
+// a / b with b > 0: antitone in b, so the endpoints pair crosswise.
+inline Interval operator/(const Interval& a, const Interval& b) {
+  return {a.lo / b.hi, a.hi / b.lo};
+}
+inline Interval Max(const Interval& a, const Interval& b) {
+  return {std::max(a.lo, b.lo), std::max(a.hi, b.hi)};
+}
+inline Interval Min(const Interval& a, const Interval& b) {
+  return {std::min(a.lo, b.lo), std::min(a.hi, b.hi)};
+}
+inline Interval Clamp(const Interval& v, const Interval& lo,
+                      const Interval& hi) {
+  return {std::clamp(v.lo, lo.lo, hi.lo), std::clamp(v.hi, lo.hi, hi.hi)};
+}
+inline Interval IfPositive(const Interval& condition, const Interval& x) {
+  return {condition.lo > 0.0 ? x.lo : 0.0, condition.hi > 0.0 ? x.hi : 0.0};
+}
+// `f` must be nondecreasing.
+template <typename F>
+Interval Map(F f, const Interval& x) {
+  return {f(x.lo), f(x.hi)};
+}
+// GC slowdown over a memory interval; an unbounded (or NaN) upper bound
+// maps to +infinity.
+inline Interval GcSlowdown(const Interval& memory_mb, double ram_mb) {
+  return {sim::GcSlowdown(memory_mb.lo, ram_mb),
+          std::isfinite(memory_mb.hi)
+              ? sim::GcSlowdown(memory_mb.hi, ram_mb)
+              : std::numeric_limits<double>::infinity()};
+}
 // Smallest interval containing both (the lattice join used by widening).
 Interval IntervalJoin(const Interval& a, const Interval& b);
 
@@ -74,19 +121,9 @@ struct IntervalOptions {
   int max_iterations = 4;
 };
 
-// Per-operator interval mirror of the fluid engine's OpFlow at the nominal
-// source rates (scale == 1).
-struct OpIntervals {
-  Interval in_rate;           // tuples/s entering the operator
-  Interval out_rate;          // tuples/s leaving the operator
-  Interval window_tuples;     // window nodes; zero elsewhere
-  Interval window_duration_s;
-  Interval slide_duration_s;
-  Interval groups;            // aggregate operators
-  Interval state_mb;          // operator state held in memory
-  Interval cpu_load_us;       // reference-core microseconds per second
-  double in_bytes = 0.0;      // bytes per tuple are point values
-  double out_bytes = 0.0;
+// Per-operator flow intervals at the nominal source rates (scale == 1): the
+// shared flow math's Flow<Interval>.
+struct OpIntervals : sim::Flow<Interval> {
   // Lower bound on the event-time delay (ms) from the oldest contributing
   // input tuple to this operator's output: the sum of window residence
   // waits along the slowest path. Transfer, queueing and service times are
@@ -116,16 +153,9 @@ QueryIntervalSummary AnalyzeQueryIntervals(const dsps::QueryGraph& query,
                                            const IntervalOptions& options,
                                            VerifyReport* report);
 
-// Proven per-node demand, mirroring the fluid engine's EvaluateNodes at the
-// nominal rates (background included when given).
-struct NodeIntervals {
-  Interval cpu_load_us;
-  Interval memory_mb;
-  Interval egress_bytes_per_s;
-  Interval gc_factor;
-  Interval cpu_utilization;
-  Interval net_utilization;
-  bool hosts_op = false;
+// Proven per-node demand and utilization: the shared flow math's node
+// accumulation at the nominal rates (background included when given).
+struct NodeIntervals : sim::NodeLoad<Interval> {
   // memory_mb.lo exceeds CrashMemoryMb(ram): the worker provably crashes.
   bool proven_crash = false;
   // cpu or net utilization lower bound exceeds 1: provable backpressure.

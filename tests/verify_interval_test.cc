@@ -251,12 +251,12 @@ TEST(IntervalArithmeticTest, AddMulDivJoinAreSoundOnSampledPoints) {
     const Interval b = Interval::Of(b_lo, b_hi);
     const double x = rng.Uniform(a_lo, a_hi);
     const double y = rng.Uniform(b_lo, b_hi);
-    EXPECT_TRUE(IntervalAdd(a, b).Contains(x + y, 1e-12));
-    EXPECT_TRUE(IntervalMul(a, b).Contains(x * y, 1e-12));
-    EXPECT_TRUE(IntervalDiv(a, b).Contains(x / y, 1e-12));
+    EXPECT_TRUE((a + b).Contains(x + y, 1e-12));
+    EXPECT_TRUE((a * b).Contains(x * y, 1e-12));
+    EXPECT_TRUE((a / b).Contains(x / y, 1e-12));
     EXPECT_TRUE(IntervalJoin(a, b).Contains(x, 1e-12));
     EXPECT_TRUE(IntervalJoin(a, b).Contains(y, 1e-12));
-    EXPECT_TRUE(IntervalMax(a, 50.0).Contains(std::fmax(x, 50.0), 1e-12));
+    EXPECT_TRUE(Max(a, 50.0).Contains(std::fmax(x, 50.0), 1e-12));
   }
 }
 
@@ -264,7 +264,7 @@ TEST(IntervalArithmeticTest, MulTreatsZeroTimesInfinityAsZero) {
   const Interval zero = Interval::Point(0.0);
   const Interval unbounded =
       Interval::Of(0.0, std::numeric_limits<double>::infinity());
-  const Interval product = IntervalMul(zero, unbounded);
+  const Interval product = zero * unbounded;
   EXPECT_EQ(product.lo, 0.0);
   EXPECT_EQ(product.hi, 0.0);
 }
