@@ -1,5 +1,6 @@
 #include "dsps/query_graph.h"
 
+#include <cmath>
 #include <queue>
 #include <sstream>
 
@@ -105,7 +106,10 @@ std::string QueryGraph::Validate() const {
       case OperatorType::kSource:
         if (fan_in != 0) return "source with inputs";
         if (fan_out < 1) return "source without consumers";
-        if (op.input_event_rate <= 0.0) return "source with rate <= 0";
+        if (!(op.input_event_rate > 0.0 &&
+              std::isfinite(op.input_event_rate))) {
+          return "source rate not finite and positive";
+        }
         if (op.tuple_data_types.empty()) return "source without data types";
         break;
       case OperatorType::kFilter:
@@ -124,7 +128,7 @@ std::string QueryGraph::Validate() const {
         ++sinks;
         break;
     }
-    if (op.selectivity < 0.0 || op.selectivity > 1.0) {
+    if (!(op.selectivity >= 0.0 && op.selectivity <= 1.0)) {  // NaN fails
       return "selectivity out of [0,1]";
     }
     // Windowed operators must be fed by a window node so that the joint

@@ -243,6 +243,8 @@ DesReport DesEngine::Run() {
   COSTREAM_CHECK_MSG(
       ValidatePlacement(query_, cluster_, placement_).empty(),
       "invalid placement");
+  COSTREAM_CHECK_MSG(ValidateLinkMatrix(cluster_).empty(),
+                     ValidateLinkMatrix(cluster_).c_str());
 
   nodes_.resize(cluster_.num_nodes());
   agg_states_.resize(query_.num_operators());

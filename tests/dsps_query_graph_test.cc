@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace costream::dsps {
 namespace {
 
@@ -117,9 +119,20 @@ TEST(QueryGraphTest, RejectsMultipleSinks) {
 }
 
 TEST(QueryGraphTest, RejectsOutOfRangeSelectivity) {
-  QueryGraph q = LinearQuery();
-  q.mutable_op(1).selectivity = 1.5;
-  EXPECT_NE(q.Validate(), "");
+  for (double selectivity : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    QueryGraph q = LinearQuery();
+    q.mutable_op(1).selectivity = selectivity;
+    EXPECT_NE(q.Validate(), "") << selectivity;
+  }
+}
+
+TEST(QueryGraphTest, RejectsNonPositiveOrNonFiniteSourceRate) {
+  for (double rate : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    QueryGraph q = LinearQuery();
+    q.mutable_op(0).input_event_rate = rate;
+    EXPECT_NE(q.Validate(), "") << rate;
+  }
 }
 
 TEST(QueryGraphTest, DebugStringListsOperators) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dsps/query_builder.h"
 #include "workload/corpus.h"
 
@@ -432,6 +434,28 @@ TEST(FluidEngineTest, BacklogGcFeedbackReflectedInUtilization) {
   const double cores = cluster.nodes[0].cpu_pct / 100.0;
   const double expected = cpu_load_us * stats.gc_factor / 1e6 / cores;
   EXPECT_NEAR(stats.cpu_utilization, expected, expected * 1e-9);
+}
+
+// Query validation runs before any flow math, verification on or off: a NaN
+// source rate or selectivity aborts instead of producing NaN labels.
+TEST(FluidEngineDeathTest, NanSourceRateOrSelectivityAborts) {
+  const Cluster cluster{{StrongNode()}};
+  for (const dsps::OperatorType type :
+       {dsps::OperatorType::kSource, dsps::OperatorType::kFilter}) {
+    QueryGraph q = SimpleFilterQuery(1000.0, 0.5);
+    for (int id = 0; id < q.num_operators(); ++id) {
+      if (q.op(id).type != type) continue;
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      if (type == dsps::OperatorType::kSource) {
+        q.mutable_op(id).input_event_rate = nan;
+      } else {
+        q.mutable_op(id).selectivity = nan;
+      }
+    }
+    const Placement placement(q.num_operators(), 0);
+    EXPECT_DEATH(EvaluateFluid(q, cluster, placement, Noiseless()),
+                 "COSTREAM_CHECK");
+  }
 }
 
 }  // namespace

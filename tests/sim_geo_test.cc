@@ -17,6 +17,7 @@
 #include "sim/des.h"
 #include "sim/fluid_engine.h"
 #include "sim/geo.h"
+#include "verify/verify.h"
 #include "workload/generator.h"
 
 namespace costream::sim {
@@ -102,6 +103,38 @@ TEST(GeoClusterTest, ValidateLinkMatrixRejectsMalformed) {
   cluster.link_bandwidth_mbits[1] = 100.0;
   cluster.link_latency_ms[2] = -1.0;
   EXPECT_NE(ValidateLinkMatrix(cluster), "");
+}
+
+// Both engines check the link matrix themselves, so a malformed one fails
+// closed even with verification off (it would otherwise index past the
+// matrix when routing).
+TEST(GeoClusterDeathTest, MalformedLinkMatrixAbortsBothEngines) {
+  QueryBuilder b;
+  auto s = b.Source(1000.0, {DataType::kInt, DataType::kInt});
+  auto f = b.Filter(s, FilterFunction::kLess, DataType::kInt, 0.5);
+  const QueryGraph q = b.Sink(f);
+  Cluster cluster{{HardwareNode{100.0, 4000.0, 100.0, 10.0},
+                   HardwareNode{800.0, 16000.0, 1000.0, 1.0}}};
+  cluster.link_bandwidth_mbits = {100.0};  // 1 entry for 2 nodes
+  cluster.link_latency_ms = {1.0};
+  Placement p(q.num_operators(), 1);
+  p[0] = 0;
+  FluidConfig fc;
+  fc.noise_sigma = 0.0;
+  EXPECT_DEATH(
+      {
+        verify::SetVerificationEnabled(false);
+        EvaluateFluid(q, cluster, p, fc);
+      },
+      "link matrix size");
+  DesConfig dc;
+  dc.duration_s = 1.0;
+  EXPECT_DEATH(
+      {
+        verify::SetVerificationEnabled(false);
+        RunDes(q, cluster, p, dc);
+      },
+      "link matrix size");
 }
 
 // --- Legacy bitwise preservation ---------------------------------------------

@@ -5,7 +5,8 @@
 // latency must lie inside the proven intervals. Verification is forced on,
 // so the in-engine oracle hook (which aborts the process on a violation)
 // fires on every EvaluateFluid call; unthrottled runs are additionally
-// cross-checked through the pure CheckFluidOracle entry point.
+// cross-checked through the pure CheckFluidOracle entry point, and their
+// zero-uncertainty point intervals must equal the fluid values exactly.
 
 #include <gtest/gtest.h>
 
@@ -48,6 +49,40 @@ FluidOracleInput OracleInputFrom(const sim::FluidReport& report,
   return input;
 }
 
+void ExpectPoint(const Interval& proven, double fluid, const char* what,
+                 size_t index) {
+  EXPECT_EQ(proven.lo, fluid) << what << "[" << index << "]";
+  EXPECT_EQ(proven.hi, fluid) << what << "[" << index << "]";
+}
+
+// At zero uncertainty the analysis runs the fluid engine's own flow math at
+// point intervals, so every proven node and link value is the unthrottled
+// fluid value bit for bit.
+void ExpectPointsEqualFluid(const dsps::QueryGraph& query,
+                            const sim::Cluster& cluster,
+                            const sim::Placement& placement,
+                            const sim::FluidConfig& fluid,
+                            const sim::FluidReport& report) {
+  const QueryIntervalSummary exact =
+      AnalyzeQueryIntervals(query, IntervalOptions{}, nullptr);
+  const PlacementIntervalSummary proven = AnalyzePlacementIntervals(
+      query, cluster, placement, exact, &fluid.background, nullptr);
+  ASSERT_EQ(proven.nodes.size(), report.node_stats.size());
+  for (size_t n = 0; n < proven.nodes.size(); ++n) {
+    const NodeIntervals& p = proven.nodes[n];
+    const sim::NodeStats& s = report.node_stats[n];
+    ExpectPoint(p.cpu_utilization, s.cpu_utilization, "cpu_utilization", n);
+    ExpectPoint(p.net_utilization, s.net_utilization, "net_utilization", n);
+    ExpectPoint(p.memory_mb, s.memory_mb, "memory_mb", n);
+    ExpectPoint(p.gc_factor, s.gc_factor, "gc_factor", n);
+  }
+  ASSERT_EQ(proven.link_utilization.size(), report.link_utilization.size());
+  for (size_t l = 0; l < proven.link_utilization.size(); ++l) {
+    ExpectPoint(proven.link_utilization[l], report.link_utilization[l],
+                "link_utilization", l);
+  }
+}
+
 // One sweep leg: `triples` random (query, cluster, placement) draws with the
 // given generator config and cluster factory.
 template <typename ClusterFactory>
@@ -87,6 +122,7 @@ void RunSweep(const workload::GeneratorConfig& config, uint64_t seed,
                            OracleInputFrom(report, fluid.duration_s));
       EXPECT_EQ(violation, "")
           << "triple " << i << " (seed " << seed << ")";
+      ExpectPointsEqualFluid(query, cluster, placement, fluid, report);
       ++stats->direct_checks;
     } else {
       ++stats->throttled;
