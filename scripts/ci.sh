@@ -541,10 +541,16 @@ echo "=== AddressSanitizer interval-oracle sweep ==="
 # triples, geo link matrices included) re-runs under ASan with verification
 # forced on: every fluid evaluation walks the interval analysis's
 # heap-allocated per-op/per-node/per-link vectors, and the pruning A/B
-# exercises the demoted-candidate subset indexing in the service.
+# exercises the demoted-candidate subset indexing in the service. One
+# flow-math template (src/sim/flow_math.h) drives the fluid engine, its
+# background load and the interval analysis, so their own suites and the
+# golden flow-math digests run here too: this is where the template's
+# per-op, per-node and per-link indexing runs under ASan.
 cmake --build build-asan -j "$JOBS" \
-  --target verify_oracle_sweep_test service_pruning_test
+  --target verify_oracle_sweep_test service_pruning_test \
+  verify_interval_test sim_fluid_test sim_flow_math_test
 ctest --test-dir build-asan \
-  -R 'verify_oracle_sweep_test|service_pruning_test' --output-on-failure
+  -R 'verify_oracle_sweep_test|service_pruning_test|verify_interval_test|sim_fluid_test|sim_flow_math_test' \
+  --output-on-failure
 
 echo "CI passed."

@@ -59,9 +59,8 @@ double AggregateStateMb(double groups, double tuple_bytes);
 // (producer batching + consumer poll interval).
 inline constexpr double kBrokerBaseLatencyMs = 25.0;
 
-// Seconds of arrivals buffered in in-flight queues per operator; shared by
-// the fluid engine's memory model and the interval analysis so the proven
-// memory bounds track the engine exactly.
+// Seconds of arrivals buffered in in-flight queues per operator (the
+// in-flight memory term of the shared node accumulation, flow_math.h).
 inline constexpr double kInflightBufferSeconds = 0.05;
 
 // Cores an operator with `parallelism` instances can actually use on a node

@@ -303,9 +303,10 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
 
   // Runtime oracle: every evaluation's nominal (scale = 1) per-node and
   // per-link utilizations, plus the noiseless processing latency, must lie
-  // inside the intervals proven by the DF dataflow analysis. A violation
-  // means either the analysis or the engine drifted — abort loudly rather
-  // than silently produce labels the verifier can't vouch for.
+  // inside the intervals proven by the DF dataflow analysis. Both run the
+  // same flow math (flow_math.h), so a violation means the interval
+  // arithmetic over it is unsound — abort loudly rather than silently
+  // produce labels the verifier can't vouch for.
   if (verify::VerificationEnabled()) {
     static obs::Counter& metric_oracle_checks =
         obs::GetCounter("verify.oracle.checks");
