@@ -17,10 +17,10 @@ namespace costream::sim {
 // bounds. Every formula is nondecreasing in its flow inputs except the
 // divisions, which the interval `/` handles by pairing opposite endpoints,
 // so the interval instance is sound and its point case is the fluid value
-// bit for bit. Beyond + - * /, the math uses only Max, Min, Clamp,
-// IfPositive and Map (apply a nondecreasing scalar function); the overloads
-// for `double` follow, the ones for Interval live beside it and are found by
-// argument-dependent lookup.
+// bit for bit. Beyond + * /, the math uses only Max, Min, Clamp, IfPositive,
+// Map (apply a nondecreasing scalar function) and GcSlowdown. The `double`
+// overloads follow (GcSlowdown's is in cost_model.h); the Interval ones are
+// declared with that type and found by argument-dependent lookup.
 
 inline constexpr double kEpsRate = 1e-9;
 inline constexpr double kMaxDuration = 1e12;

@@ -439,23 +439,24 @@ TEST(FluidEngineTest, BacklogGcFeedbackReflectedInUtilization) {
 // Query validation runs before any flow math, verification on or off: a NaN
 // source rate or selectivity aborts instead of producing NaN labels.
 TEST(FluidEngineDeathTest, NanSourceRateOrSelectivityAborts) {
-  const Cluster cluster{{StrongNode()}};
-  for (const dsps::OperatorType type :
-       {dsps::OperatorType::kSource, dsps::OperatorType::kFilter}) {
-    QueryGraph q = SimpleFilterQuery(1000.0, 0.5);
-    for (int id = 0; id < q.num_operators(); ++id) {
-      if (q.op(id).type != type) continue;
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      if (type == dsps::OperatorType::kSource) {
-        q.mutable_op(id).input_event_rate = nan;
-      } else {
-        q.mutable_op(id).selectivity = nan;
-      }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  QueryGraph bad_rate = SimpleFilterQuery(1000.0, 0.5);
+  QueryGraph bad_selectivity = bad_rate;
+  for (int id = 0; id < bad_rate.num_operators(); ++id) {
+    if (bad_rate.op(id).type == dsps::OperatorType::kSource) {
+      bad_rate.mutable_op(id).input_event_rate = nan;
     }
-    const Placement placement(q.num_operators(), 0);
-    EXPECT_DEATH(EvaluateFluid(q, cluster, placement, Noiseless()),
-                 "COSTREAM_CHECK");
+    if (bad_selectivity.op(id).type == dsps::OperatorType::kFilter) {
+      bad_selectivity.mutable_op(id).selectivity = nan;
+    }
   }
+  const Cluster cluster{{StrongNode()}};
+  const Placement placement(bad_rate.num_operators(), 0);
+  EXPECT_DEATH(EvaluateFluid(bad_rate, cluster, placement, Noiseless()),
+               "COSTREAM_CHECK");
+  EXPECT_DEATH(
+      EvaluateFluid(bad_selectivity, cluster, placement, Noiseless()),
+      "COSTREAM_CHECK");
 }
 
 }  // namespace
