@@ -20,6 +20,7 @@
 #include "placement/rank_scorer.h"
 #include "service/placement_service.h"
 #include "service/scoring_engine.h"
+#include "sim/geo.h"
 #include "workload/corpus.h"
 
 namespace costream::service {
@@ -35,14 +36,24 @@ sim::Cluster FixtureCluster() {
   return cluster;
 }
 
-core::Ensemble TinyThroughputEnsemble(int members = 1) {
+// FixtureCluster with node 0 alone in its own region: its links cross the
+// WAN, so host features carry link terms that differ from the NIC values.
+sim::Cluster GeoFixtureCluster() {
+  sim::Cluster cluster = FixtureCluster();
+  std::vector<int> region(cluster.num_nodes(), 1);
+  region[0] = 0;
+  sim::ApplyGeoRegions(region, sim::GeoWanProfile{}, &cluster);
+  return cluster;
+}
+
+core::Ensemble TinyThroughputEnsemble(int members = 1, int hidden_dim = 8) {
   workload::CorpusConfig cc;
   cc.num_queries = 50;
   cc.seed = 31;
   cc.duration_s = 30.0;
   const auto records = workload::BuildCorpus(cc);
   core::CostModelConfig config;
-  config.hidden_dim = 8;
+  config.hidden_dim = hidden_dim;
   core::Ensemble ensemble(config, members);
   auto samples = workload::ToTrainSamples(records, sim::Metric::kThroughput);
   core::TrainConfig tc;
@@ -327,6 +338,54 @@ TEST(ServiceFastPathTest, RankBatchCostsMatchGoldenDigests) {
   const uint64_t bf16 = digest(nn::QuantKind::kBf16);
   EXPECT_EQ(int8, 0x402a8069d9846c84ull) << std::hex << int8;
   EXPECT_EQ(bf16, 0x7b35bbe171a26895ull) << std::hex << bf16;
+}
+
+// The same pin at the shape the benchmarks rank: hidden 16, three members,
+// four same-structure requests of 32 candidates each, on a cluster whose
+// host features carry WAN link terms.
+TEST(ServiceFastPathTest, RankBatchCostsMatchGoldenDigestsAtBenchShape) {
+  const core::Ensemble target = TinyThroughputEnsemble(3, 16);
+  const sim::Cluster cluster = GeoFixtureCluster();
+  std::vector<dsps::QueryGraph> queries(4, ScriptQueries(2)[1]);
+  const int n = queries[0].num_operators();
+  ASSERT_GE(n, 3);
+  queries[1].mutable_op(0).parallelism = 4;
+  queries[2].mutable_op(n / 2).parallelism = 2;
+  queries[3].mutable_op(n - 1).parallelism = 3;
+
+  std::vector<std::vector<sim::Placement>> candidates;
+  for (size_t r = 0; r < queries.size(); ++r) {
+    placement::EnumerationConfig enumeration;
+    enumeration.num_candidates = 32;
+    enumeration.seed = 90 + r;
+    candidates.push_back(
+        placement::EnumerateCandidates(queries[r], cluster, enumeration));
+    ASSERT_EQ(candidates.back().size(), 32u);
+  }
+
+  const auto digest = [&](nn::QuantKind kind) {
+    const placement::QuantizedEnsemble weights(target, kind);
+    placement::QuantizedRanker ranker(queries[0], cluster, &target, &weights);
+    std::vector<placement::QuantizedRanker::Request> requests(queries.size());
+    for (size_t r = 0; r < queries.size(); ++r) {
+      requests[r].query_slot = r == 0 ? 0 : ranker.AddQuery(queries[r]);
+      requests[r].candidates = &candidates[r];
+    }
+    std::vector<std::vector<double>> costs;
+    ranker.RankBatch(requests, costs);
+    std::vector<double> flat;
+    for (const std::vector<double>& request_costs : costs) {
+      flat.insert(flat.end(), request_costs.begin(), request_costs.end());
+    }
+    EXPECT_EQ(flat.size(), 4u * 32u);
+    EXPECT_NE(*std::min_element(flat.begin(), flat.end()),
+              *std::max_element(flat.begin(), flat.end()));
+    return common::Fnv1a64(flat.data(), flat.size() * sizeof(double));
+  };
+  const uint64_t int8 = digest(nn::QuantKind::kInt8);
+  const uint64_t bf16 = digest(nn::QuantKind::kBf16);
+  EXPECT_EQ(int8, 0xe521c5d5d84dd1d2ull) << std::hex << int8;
+  EXPECT_EQ(bf16, 0x252aa0563c1bcc55ull) << std::hex << bf16;
 }
 
 // --- Rank-widening budget boundary -------------------------------------------
