@@ -144,25 +144,8 @@ std::string QueryGraph::Validate() const {
   if (sinks != 1) return "query must have exactly one sink";
 
   // Acyclicity (TopologicalOrder aborts on cycles, so recheck gently here).
-  std::vector<int> in_degree(num_operators(), 0);
-  for (const auto& [from, to] : edges_) {
-    (void)from;
-    ++in_degree[to];
-  }
-  std::queue<int> ready;
-  for (int i = 0; i < num_operators(); ++i) {
-    if (in_degree[i] == 0) ready.push(i);
-  }
-  int visited = 0;
-  while (!ready.empty()) {
-    const int id = ready.front();
-    ready.pop();
-    ++visited;
-    for (const auto& [from, to] : edges_) {
-      if (from == id && --in_degree[to] == 0) ready.push(to);
-    }
-  }
-  if (visited != num_operators()) return "query graph contains a cycle";
+  std::vector<int> order;
+  if (!TryTopologicalOrder(&order)) return "query graph contains a cycle";
   return "";
 }
 

@@ -135,6 +135,17 @@ TEST(QueryGraphTest, RejectsNonPositiveOrNonFiniteSourceRate) {
   }
 }
 
+TEST(QueryGraphTest, RejectsDetachedCycle) {
+  // Two filters feeding each other: every operator passes its own fan-in and
+  // fan-out checks, so only the acyclicity check can reject the query.
+  QueryGraph q = LinearQuery();
+  const int a = q.AddOperator(MakeOp(OperatorType::kFilter));
+  const int b = q.AddOperator(MakeOp(OperatorType::kFilter));
+  q.AddEdge(a, b);
+  q.AddEdge(b, a);
+  EXPECT_EQ(q.Validate(), "query graph contains a cycle");
+}
+
 TEST(QueryGraphTest, DebugStringListsOperators) {
   EXPECT_EQ(LinearQuery().DebugString(), "source->filter->sink");
 }
