@@ -243,6 +243,20 @@ void SetParallelismFeature(JointGraph& graph, int op, int parallelism) {
   graph.nodes[op].features.back() = NormalizeParallelism(parallelism);
 }
 
+void NumberHosts(const sim::Placement& placement, int num_hw_nodes,
+                 std::vector<int>& hw_host, std::vector<int>& op_host,
+                 std::vector<int>& host_hw) {
+  hw_host.assign(num_hw_nodes, -1);
+  for (const int hw : placement) {
+    COSTREAM_DCHECK(hw >= 0 && hw < num_hw_nodes);
+    if (hw_host[hw] < 0) {
+      hw_host[hw] = static_cast<int>(host_hw.size());
+      host_hw.push_back(hw);
+    }
+    op_host.push_back(hw_host[hw]);
+  }
+}
+
 JointGraph BuildJointGraph(const dsps::QueryGraph& query,
                            const sim::Cluster& cluster,
                            const sim::Placement& placement,
@@ -250,26 +264,63 @@ JointGraph BuildJointGraph(const dsps::QueryGraph& query,
   COSTREAM_CHECK_MSG(
       sim::ValidatePlacement(query, cluster, placement).empty(),
       "invalid placement");
-  JointGraph graph = BuildOperatorGraph(query);
-  graph.nodes.reserve(query.num_operators() + cluster.num_nodes());
-
-  if (mode != FeaturizationMode::kOperatorsOnly) {
-    // One host node per hardware node that actually hosts operators.
-    std::vector<int> host_node_of(cluster.num_nodes(), -1);
-    for (int op = 0; op < query.num_operators(); ++op) {
-      const int hw = placement[op];
-      if (host_node_of[hw] == -1) {
-        JointNode node;
-        node.kind = NodeKind::kHost;
-        node.features = HostNodeFeatures(cluster, hw, mode);
-        host_node_of[hw] = static_cast<int>(graph.nodes.size());
-        graph.nodes.push_back(std::move(node));
-        ++graph.num_host_nodes;
-      }
-      graph.placement_edges.emplace_back(op, host_node_of[hw]);
-    }
+  JointGraph op_graph = BuildOperatorGraph(query);
+  JointGraph graph;
+  std::vector<int> host_hw;
+  BuildBatchGraph(op_graph, {&placement}, cluster.num_nodes(), mode, graph,
+                  host_hw);
+  for (int v = 0; v < graph.num_operator_nodes; ++v) {
+    graph.nodes[v].features = std::move(op_graph.nodes[v].features);
+  }
+  for (size_t i = 0; i < host_hw.size(); ++i) {
+    graph.nodes[graph.num_operator_nodes + i].features =
+        HostNodeFeatures(cluster, host_hw[i], mode);
   }
   return graph;
+}
+
+void BuildBatchGraph(const JointGraph& op_graph,
+                     const std::vector<const sim::Placement*>& placements,
+                     int num_hw_nodes, FeaturizationMode mode,
+                     JointGraph& batch, std::vector<int>& host_hw) {
+  COSTREAM_CHECK(op_graph.copies == 1 && op_graph.num_host_nodes == 0);
+  const int n = op_graph.num_operator_nodes;
+  const int copies = static_cast<int>(placements.size());
+  const int num_ops = copies * n;
+
+  host_hw.clear();
+  std::vector<int> hw_host, op_host;
+  if (mode != FeaturizationMode::kOperatorsOnly) {
+    op_host.reserve(num_ops);
+    for (const sim::Placement* placement : placements) {
+      COSTREAM_CHECK(static_cast<int>(placement->size()) == n);
+      NumberHosts(*placement, num_hw_nodes, hw_host, op_host, host_hw);
+    }
+  }
+
+  batch.copies = copies;
+  batch.num_operator_nodes = num_ops;
+  batch.num_host_nodes = static_cast<int>(host_hw.size());
+  batch.nodes.resize(num_ops + host_hw.size());
+  for (int v = 0; v < static_cast<int>(batch.nodes.size()); ++v) {
+    JointNode& node = batch.nodes[v];
+    node.kind = v < num_ops ? op_graph.nodes[v % n].kind : NodeKind::kHost;
+    node.features.clear();
+  }
+  batch.dataflow_edges.clear();
+  batch.topo_order.clear();
+  for (int c = 0; c < copies; ++c) {
+    const int base = c * n;
+    for (const auto& [from, to] : op_graph.dataflow_edges) {
+      batch.dataflow_edges.emplace_back(base + from, base + to);
+    }
+    for (const int v : op_graph.topo_order) batch.topo_order.push_back(base + v);
+  }
+  // Host numbers run across copies, so copy c's hosts follow copy c-1's.
+  batch.placement_edges.clear();
+  for (int op = 0; op < static_cast<int>(op_host.size()); ++op) {
+    batch.placement_edges.emplace_back(op, num_ops + op_host[op]);
+  }
 }
 
 }  // namespace costream::core

@@ -49,7 +49,13 @@ struct JointNode {
 
 // The joint operator-resource graph handed to the GNN. Operator nodes keep
 // the ids of the underlying QueryGraph; host nodes are appended after them
-// (one per hardware node that hosts at least one operator).
+// (one per hardware node that hosts at least one operator, in first-use
+// order, see NumberHosts).
+//
+// A batch graph (BuildBatchGraph) holds `copies` disjoint copies of one
+// operator structure, each with its own placement: every copy's operator
+// nodes first, copy by copy, then every copy's host nodes, copy by copy.
+// Every other graph holds one copy.
 struct JointGraph {
   std::vector<JointNode> nodes;
   // Logical data flow between operator nodes (from -> to).
@@ -58,8 +64,9 @@ struct JointGraph {
   std::vector<std::pair<int, int>> placement_edges;
   // Operator nodes in topological data-flow order (sources first).
   std::vector<int> topo_order;
-  int num_operator_nodes = 0;
-  int num_host_nodes = 0;
+  int num_operator_nodes = 0;  // over all copies
+  int num_host_nodes = 0;      // over all copies
+  int copies = 1;
 };
 
 // Normalizes raw feature values onto roughly [0, 1] using log scales anchored
@@ -87,6 +94,26 @@ JointGraph BuildJointGraph(const dsps::QueryGraph& query,
                            const sim::Cluster& cluster,
                            const sim::Placement& placement,
                            FeaturizationMode mode = FeaturizationMode::kFull);
+
+// First-use host numbering, the one order in which joint graphs list their
+// host nodes: walks `placement` in operator order and numbers each hardware
+// node at its first use, continuing from host_hw.size(). Appends operator
+// op's host number to `op_host` and each newly numbered hardware node to
+// `host_hw`. `hw_host` is scratch, resized to `num_hw_nodes`.
+void NumberHosts(const sim::Placement& placement, int num_hw_nodes,
+                 std::vector<int>& hw_host, std::vector<int>& op_host,
+                 std::vector<int>& host_hw);
+
+// Rewrites `batch` in place as the batch graph of `placements` over the
+// operator structure `op_graph`: one copy per placement, laid out as
+// JointGraph describes, with every edge list and the topological order
+// offset per copy. Nodes carry kinds only. `host_hw` receives each host
+// node's hardware node (host i is node num_operator_nodes + i); under
+// kOperatorsOnly there are no hosts.
+void BuildBatchGraph(const JointGraph& op_graph,
+                     const std::vector<const sim::Placement*>& placements,
+                     int num_hw_nodes, FeaturizationMode mode,
+                     JointGraph& batch, std::vector<int>& host_hw);
 
 // The placement-independent prefix of the joint graph: operator nodes,
 // dataflow edges and topological order, with no host tail. Placement scoring

@@ -148,9 +148,7 @@ void CostModel::BuildForwardPlan(const JointGraph& graph,
   const auto next_stage = [&]() -> ForwardPlan::Stage& {
     if (plan.stages.size() <= num_stages) plan.stages.emplace_back();
     ForwardPlan::Stage& stage = plan.stages[num_stages++];
-    stage.gather = false;
     stage.repeat = 1;
-    stage.gather_rows.clear();
     stage.offsets.clear();
     stage.children.clear();
     stage.rows.clear();
@@ -177,18 +175,20 @@ void CostModel::BuildForwardPlan(const JointGraph& graph,
         s1.children[plan.cursor_scratch[host - num_ops]++] = op;
       }
       FillSlices(graph, s1.rows, s1.slices);
-      // Stage 2 (HW -> OPS): each operator reads its (single) host state.
+      // Stage 2 (HW -> OPS): each operator's one message is its host state.
       ForwardPlan::Stage& s2 = next_stage();
-      s2.gather = true;
-      s2.gather_rows.assign(num_ops, -1);
+      s2.children.assign(num_ops, -1);
       for (const auto& [op, host] : graph.placement_edges) {
-        s2.gather_rows[op] = host;
+        s2.children[op] = host;
       }
+      s2.offsets.resize(num_ops + 1);
       s2.rows.resize(num_ops);
       for (int op = 0; op < num_ops; ++op) {
-        COSTREAM_CHECK(s2.gather_rows[op] >= 0);
+        COSTREAM_CHECK(s2.children[op] >= 0);
+        s2.offsets[op] = op;
         s2.rows[op] = op;
       }
+      s2.offsets[num_ops] = num_ops;
       FillSlices(graph, s2.rows, s2.slices);
     }
     // Stage 3 (SOURCES -> OPS): one batch per topological wave.
@@ -215,6 +215,32 @@ void CostModel::BuildForwardPlan(const JointGraph& graph,
     FillSlices(graph, stage.rows, stage.slices);
   }
   plan.stages.resize(num_stages);
+
+  // Readout segments, one per copy: its operator rows ascending, then its
+  // host rows. Hosts follow all operators copy by copy (see JointGraph), so
+  // copy c's hosts end at the highest host its placement edges reach, and
+  // the last copy's at the final node.
+  const int copies = graph.copies;
+  COSTREAM_CHECK(copies >= 1 && num_ops % copies == 0);
+  const int copy_ops = num_ops / copies;
+  plan.cursor_scratch.assign(copies, num_ops);  // host end per copy
+  for (const auto& [op, host] : graph.placement_edges) {
+    int& end = plan.cursor_scratch[op / copy_ops];
+    end = std::max(end, host + 1);
+  }
+  plan.cursor_scratch[copies - 1] = num_nodes;
+  plan.readout_offsets.assign(1, 0);
+  plan.readout_children.clear();
+  for (int c = 0, host = num_ops; c < copies; ++c) {
+    for (int v = c * copy_ops; v < (c + 1) * copy_ops; ++v) {
+      plan.readout_children.push_back(v);
+    }
+    for (; host < plan.cursor_scratch[c]; ++host) {
+      plan.readout_children.push_back(host);
+    }
+    plan.readout_offsets.push_back(
+        static_cast<int>(plan.readout_children.size()));
+  }
   plan.ready = true;
 }
 
@@ -235,9 +261,7 @@ nn::Var CostModel::Forward(nn::Tape& tape, const JointGraph& graph,
                                  : EncodeBatched(tape, graph, *plan);
   for (const ForwardPlan::Stage& stage : plan->stages) {
     for (int iter = 0; iter < stage.repeat; ++iter) {
-      nn::Var msg = stage.gather
-                        ? tape.RowGather(S, stage.gather_rows)
-                        : tape.SegmentSum(S, stage.offsets, stage.children);
+      nn::Var msg = tape.SegmentSum(S, stage.offsets, stage.children);
       nn::Var own = tape.RowGather(S, stage.rows);
       nn::Var cat = tape.ConcatCols(msg, own);
       for (const ForwardPlan::UpdateSlice& slice : stage.slices) {
@@ -248,8 +272,9 @@ nn::Var CostModel::Forward(nn::Tape& tape, const JointGraph& graph,
       }
     }
   }
-  nn::Var total = tape.SumRows(S);
-  return readout_[0].Apply(tape, total);
+  nn::Var totals =
+      tape.SegmentSum(S, plan->readout_offsets, plan->readout_children);
+  return readout_[0].Apply(tape, totals);
 }
 
 nn::Var CostModel::EncodeBatched(nn::Tape& tape, const JointGraph& graph,

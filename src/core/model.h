@@ -40,13 +40,12 @@ struct CostModelConfig {
 };
 
 // A reusable execution plan for the forward pass: every index vector the
-// batched scheduler needs — per-kind encoder rows, per-stage gather /
-// segment-sum indices and per-kind update slices — derived once from a
-// graph's structure. The plan depends on node kinds and edges but never on
-// feature values, so hot loops (the placement scorer) rebuild it once per
-// candidate instead of once per ensemble-member forward. Running a forward
-// with a plan is bitwise identical to running one without: the plan holds
-// exactly the indices the plan-free path derives internally.
+// batched scheduler needs — per-kind encoder rows, per-stage segment-sum
+// indices, per-kind update slices and the per-copy readout segments —
+// derived once from a graph's structure. The plan depends on node kinds and
+// edges but never on feature values, so hot loops (the placement scorer)
+// rebuild it once per candidate instead of once per ensemble-member forward,
+// and the quantized ranker walks the same plan over a batch graph.
 struct ForwardPlan {
   // One per-kind batch of an update stage: `pos` are the rows of the
   // concatenated (message | own) matrix fed to this kind's update MLP (empty
@@ -57,12 +56,11 @@ struct ForwardPlan {
     std::vector<int> pos;
     std::vector<int> targets;
   };
-  // One message-passing step. Messages are either row-gathered (stage 2's
-  // one-host-per-operator read) or segment-summed over a CSR edge list;
-  // `rows` are the own-state rows, which is also the update domain.
+  // One message-passing step. Every message is a segment sum over a CSR
+  // list of source rows per own row (stage 2's segments hold one child, the
+  // operator's host); `rows` are the own-state rows, which is also the
+  // update domain.
   struct Stage {
-    bool gather = false;
-    std::vector<int> gather_rows;        // message source row per own row
     std::vector<int> offsets, children;  // CSR of message sources per own row
     std::vector<int> rows;
     std::vector<UpdateSlice> slices;
@@ -70,6 +68,9 @@ struct ForwardPlan {
   };
   std::vector<std::vector<int>> encode_rows;  // node rows per NodeKind
   std::vector<Stage> stages;
+  // Readout CSR, one segment per graph copy: its operator rows ascending,
+  // then its host rows.
+  std::vector<int> readout_offsets, readout_children;
   bool ready = false;
 
   // Builder scratch, kept here so per-candidate rebuilds reuse capacity.
@@ -88,7 +89,7 @@ struct ForwardPlan {
 //      each update feeding concat(sum of incoming states, own state) into a
 //      node-type specific update MLP,
 //   3. a final readout sums all hidden states and an output MLP produces the
-//      cost prediction.
+//      cost prediction (one per copy of a batch graph).
 class CostModel {
  public:
   explicit CostModel(const CostModelConfig& config);
@@ -101,17 +102,18 @@ class CostModel {
   // changes; pure feature rewrites keep a plan valid.
   void BuildForwardPlan(const JointGraph& graph, ForwardPlan& plan) const;
 
-  // Builds the forward computation on `tape`; returns the scalar output
-  // (log-cost for regression heads, logit for classification heads). Node
-  // states live as rows of one N x hidden matrix; every stage is a
-  // gather/segment-sum/concat followed by per-kind update MLPs and a row
-  // scatter, all scheduled by `plan` (built by BuildForwardPlan for this
-  // graph's structure; null rebuilds a thread-local plan). When `encoded` is
-  // non-null it must hold this model's encoder output for every node of
-  // `graph` (row v = encoder_kind(features(v))); the forward then starts
-  // message passing from it instead of re-encoding. Because every encode op
-  // treats rows independently, a cached encoding is bitwise identical to the
-  // in-forward one, so this changes no prediction bits.
+  // Builds the forward computation on `tape`; returns one output row per
+  // graph copy (log-cost for regression heads, logit for classification
+  // heads), a 1 x 1 scalar for every single graph. Node states live as rows
+  // of one N x hidden matrix; every stage is a segment-sum/gather/concat
+  // followed by per-kind update MLPs and a row scatter, and the readout is a
+  // per-copy segment sum, all scheduled by `plan` (built by BuildForwardPlan
+  // for this graph's structure; null rebuilds a thread-local plan). When
+  // `encoded` is non-null it must hold this model's encoder output for every
+  // node of `graph` (row v = encoder_kind(features(v))); the forward then
+  // starts message passing from it instead of re-encoding. Because every
+  // encode op treats rows independently, a cached encoding is bitwise
+  // identical to the in-forward one, so this changes no prediction bits.
   nn::Var Forward(nn::Tape& tape, const JointGraph& graph,
                   const ForwardPlan* plan = nullptr,
                   const nn::Matrix* encoded = nullptr) const;

@@ -733,24 +733,6 @@ Var Tape::RowScatter(Var base, Var update, const std::vector<int>& rows) {
   return Var{idx};
 }
 
-Var Tape::SumRows(Var src) {
-  int idx;
-  Node& n = Acquire(Op::kSumRows, &idx);
-  const Matrix& sv = nodes_[src.index].value;
-  COSTREAM_CHECK(sv.rows() >= 1);
-  const int cols = sv.cols();
-  n.a = src.index;
-  n.value.ResizeZero(1, cols);
-  double* d = n.value.row(0);
-  const double* first = sv.row(0);
-  for (int c = 0; c < cols; ++c) d[c] = first[c];
-  for (int r = 1; r < sv.rows(); ++r) {
-    const double* s = sv.row(r);
-    for (int c = 0; c < cols; ++c) d[c] += s[c];
-  }
-  return Var{idx};
-}
-
 Var Tape::MseLoss(Var pred, const Matrix& target) {
   int idx;
   Node& n = Acquire(Op::kMseLoss, &idx);
@@ -976,17 +958,6 @@ void Tape::BackwardNode(int i, GradientSink* sink) {
       for (int r = 0; r < n.grad.rows(); ++r) {
         if (n.idx_b[r] != 0) continue;  // replaced row: no grad to base
         AccumRow(base.grad.row(r), n.grad.row(r), cols);
-      }
-      break;
-    }
-    case Op::kSumRows: {
-      Node& src = nodes_[n.a];
-      const int cols = n.grad.cols();
-      const double* g = n.grad.row(0);
-      // Rows DESCENDING: AddN over per-node states credits the last state
-      // first during the reverse sweep.
-      for (int r = src.grad.rows() - 1; r >= 0; --r) {
-        AccumRow(src.grad.row(r), g, cols);
       }
       break;
     }

@@ -179,14 +179,13 @@ class Tape {
   // out(i, :) = sum over c in children[offsets[i] .. offsets[i+1]) of
   // src(c, :), accumulated in list order (first child copied, the rest added
   // ascending — exactly AddN semantics). Every segment must be non-empty.
+  // CostModel::Forward uses it for every message and for the readout (one
+  // segment per graph copy).
   Var SegmentSum(Var src, const std::vector<int>& offsets,
                  const std::vector<int>& children);
   // out = base with out(rows[i], :) = update(i, :). Rows must be unique and
   // in-range; untouched rows pass their gradient through to `base`.
   Var RowScatter(Var base, Var update, const std::vector<int>& rows);
-  // Sums all rows of src into a 1 x cols row, accumulating rows in ascending
-  // order (bitwise identical to AddN over the individual rows).
-  Var SumRows(Var src);
 
   // --- Losses (scalar outputs) --------------------------------------------
 
@@ -226,7 +225,6 @@ class Tape {
     kRowGather,
     kSegmentSum,
     kRowScatter,
-    kSumRows,
     kMseLoss,
     kBceLoss,
   };

@@ -2,16 +2,18 @@
 #define COSTREAM_PLACEMENT_RANK_SCORER_H_
 
 // Quantized fast-ranking tier of the placement fast path. A QuantizedRanker
-// executes the cost model's ForwardPlan stage-3 schedule in float with
-// bf16/int8 weight copies and scores a whole batch of placement candidates
-// at once: every (member, stage, node-kind) pair becomes ONE GEMM over the
-// rows of ALL candidates — across every request of the batch, not just one
-// — so K candidates from M same-structure requests cost roughly one
-// candidate's worth of kernel launches. The ranker only orders candidates —
-// the service re-scores the top-k through the full-precision PlacementScorer
-// before deciding — so its output never appears in a decision score.
-// Ranking is single-threaded and uses fixed accumulation orders: the same
-// batch always ranks identically, regardless of the service's num_threads.
+// binds a whole batch of placement candidates into one batch graph
+// (core::BuildBatchGraph), derives its ForwardPlan with the target model's
+// own BuildForwardPlan and walks that plan in float with bf16/int8 weight
+// copies. It holds no schedule of its own: every (member, stage, node-kind)
+// slice of the plan becomes ONE GEMM over the rows of ALL candidates —
+// across every request of the batch, not just one — so K candidates from M
+// same-structure requests cost roughly one candidate's worth of kernel
+// launches. The ranker only orders candidates — the service re-scores the
+// top-k through the full-precision PlacementScorer before deciding — so its
+// output never appears in a decision score. Ranking is single-threaded and
+// uses fixed accumulation orders: the same batch always ranks identically,
+// regardless of the service's num_threads.
 
 #include <vector>
 
@@ -40,6 +42,22 @@ struct QuantizedEnsemble {
   std::vector<QuantizedModel> members;
 };
 
+// RankBatch's reusable buffers: the batch graph, its forward plan and the
+// float state rows. A caller that builds one ranker per batch (the scoring
+// engine) hands each the same workspace, so steady-state ranking reuses
+// every capacity.
+struct RankWorkspace {
+  core::JointGraph graph;
+  core::ForwardPlan plan;
+  std::vector<int> host_hw;  // host node i -> hardware node
+  std::vector<const sim::Placement*> placements;  // one per batch copy
+  std::vector<int> pair_query;                    // batch copy -> query slot
+  nn::FloatMatrix states;
+  nn::FloatMatrix cat;
+  std::vector<nn::FloatMatrix> slice_out;
+  nn::FloatMatrix scratch;
+};
+
 class QuantizedRanker {
  public:
   // The ranking tier covers exactly the configuration the placement
@@ -47,11 +65,13 @@ class QuantizedRanker {
   // graph with host nodes. Anything else falls back to full scoring.
   static bool CanRank(const core::Ensemble& ensemble);
 
-  // `weights` must be a snapshot of `target` and outlive the ranker. The
+  // `weights` must be a snapshot of `target` and outlive the ranker, as must
+  // `workspace` when non-null (null: the ranker uses its own). The
   // constructor registers `query` as query slot 0.
   QuantizedRanker(const dsps::QueryGraph& query, const sim::Cluster& cluster,
                   const core::Ensemble* target,
-                  const QuantizedEnsemble* weights);
+                  const QuantizedEnsemble* weights,
+                  RankWorkspace* workspace = nullptr);
 
   // Registers another query with the SAME operator structure (kinds and
   // dataflow edges; feature values may differ) and returns its query slot.
@@ -70,17 +90,15 @@ class QuantizedRanker {
   // Approximate target-metric predictions (ensemble mean of
   // expm1(clamp(out)) like the full path) for every request's candidates;
   // costs[r][c] is request r's candidate c. All requests' rows share each
-  // stage GEMM. Not thread-safe: the ranker owns its scratch buffers.
+  // stage GEMM. Not thread-safe: the ranker writes its workspace.
   void RankBatch(const std::vector<Request>& requests,
                  std::vector<std::vector<double>>& costs);
-
-  int num_operators() const { return num_ops_; }
-  int num_queries() const { return static_cast<int>(num_queries_); }
 
  private:
   void EncodeHosts(const sim::Cluster& cluster);
   void EncodeQueryFeatures(const core::JointGraph& graph);
 
+  const core::CostModel* planner_;  // the target's member 0
   const QuantizedEnsemble* weights_;
   int num_ops_ = 0;
   int num_hw_ = 0;
@@ -88,32 +106,17 @@ class QuantizedRanker {
   size_t num_queries_ = 0;
   core::FeaturizationMode mode_ = core::FeaturizationMode::kFull;
 
-  // The target's forward plan for the operator graph, shared by every
-  // registered query. Without host nodes its stages are exactly stage 3's
-  // dataflow waves: each slice is one (wave, kind) GEMM batch and the CSR
-  // children are the in-edges; encode_rows gives stage 2's kind batches.
-  core::ForwardPlan plan_;
+  // The operator structure shared by every registered query; each batch
+  // copy repeats it.
+  core::JointGraph op_graph_;
 
   // Candidate-invariant encodings: operators per (member, query slot)
   // (N x h) and hardware nodes per member (H x h).
   std::vector<std::vector<nn::FloatMatrix>> op_enc_;  // [member][query]
   std::vector<nn::FloatMatrix> hw_enc_;               // [member]
 
-  // Per-call scratch (sized by the flattened candidate batch).
-  std::vector<int> pair_query_;   // flat pair -> query slot
-  std::vector<const sim::Placement*> pair_placement_;
-  std::vector<int> op_host_row_;  // (pair * N + op) -> global host row
-  std::vector<int> host_hw_;      // global host row -> hardware node id
-  std::vector<int> host_off_;     // pair -> first global host row
-  std::vector<int> hw_row_;       // per-pair hw -> row map scratch
-  nn::FloatMatrix op_states_;
-  nn::FloatMatrix host_states_;
-  nn::FloatMatrix msg_;
-  nn::FloatMatrix cat_;
-  nn::FloatMatrix out_;
-  nn::FloatMatrix totals_;
-  nn::FloatMatrix readout_out_;
-  nn::FloatMatrix scratch_;
+  RankWorkspace own_workspace_;
+  RankWorkspace* ws_;
 };
 
 }  // namespace costream::placement

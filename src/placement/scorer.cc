@@ -114,7 +114,7 @@ PlacementScorer::Workspace PlacementScorer::MakeWorkspace() const {
   Workspace ws;
   ws.graphs.reserve(modes_.size());
   ws.plans.resize(modes_.size());
-  ws.host_node_of.resize(modes_.size());
+  ws.host_hw.resize(modes_.size());
   ws.enc_caches.resize(enc_owners_.size());
   for (const ModeCache& cache : modes_) {
     core::JointGraph graph = cache.prototype;
@@ -170,34 +170,27 @@ void PlacementScorer::Bind(Workspace& ws, int slot,
   COSTREAM_DCHECK(static_cast<int>(placement.size()) == num_operators_);
 
   core::JointGraph& g = ws.graphs[slot];
-  std::vector<int>& host_node_of = ws.host_node_of[slot];
-  host_node_of.assign(num_hw_nodes_, -1);
-
-  // Host nodes are appended after the operators in first-use order, exactly
-  // as BuildJointGraph assigns them.
+  std::vector<int>& host_hw = ws.host_hw[slot];
+  host_hw.clear();
+  ws.op_host_scratch.clear();
+  core::NumberHosts(placement, num_hw_nodes_, ws.hw_host_scratch,
+                    ws.op_host_scratch, host_hw);
   g.placement_edges.clear();
-  int num_hosts = 0;
   for (int op = 0; op < num_operators_; ++op) {
-    const int hw = placement[op];
-    COSTREAM_DCHECK(hw >= 0 && hw < num_hw_nodes_);
-    if (host_node_of[hw] == -1) {
-      host_node_of[hw] = num_operators_ + num_hosts;
-      ++num_hosts;
-    }
-    g.placement_edges.emplace_back(op, host_node_of[hw]);
+    g.placement_edges.emplace_back(op,
+                                   num_operators_ + ws.op_host_scratch[op]);
   }
 
   // Resize the host tail — node slots are only constructed or destroyed when
   // the distinct-host count changes — and overwrite the surviving nodes'
   // features in place (vector::assign reuses their capacity).
+  const int num_hosts = static_cast<int>(host_hw.size());
   g.nodes.resize(num_operators_ + num_hosts);
   g.num_host_nodes = num_hosts;
-  for (int hw = 0; hw < num_hw_nodes_; ++hw) {
-    const int node = host_node_of[hw];
-    if (node < 0) continue;
-    core::JointNode& jn = g.nodes[node];
+  for (int i = 0; i < num_hosts; ++i) {
+    core::JointNode& jn = g.nodes[num_operators_ + i];
     jn.kind = core::NodeKind::kHost;
-    const std::vector<double>& features = cache.host_features[hw];
+    const std::vector<double>& features = cache.host_features[host_hw[i]];
     jn.features.assign(features.begin(), features.end());
   }
 
@@ -280,17 +273,16 @@ const std::vector<nn::Matrix>* PlacementScorer::AssembleEncodings(
   // every candidate; only the host-tail rows are placement-specific.
   const int num_nodes =
       static_cast<int>(ws.graphs[owner.slot].nodes.size());
-  const std::vector<int>& host_node_of = ws.host_node_of[owner.slot];
+  const std::vector<int>& host_hw = ws.host_hw[owner.slot];
   cache.assembled.resize(members);
   for (int m = 0; m < members; ++m) {
     nn::Matrix& out = cache.assembled[m];
     out.ResizeUninit(num_nodes, h);
     std::copy_n(cache.op_enc[m].data(),
                 static_cast<size_t>(num_operators_) * h, out.data());
-    for (int hw = 0; hw < num_hw_nodes_; ++hw) {
-      const int node = host_node_of[hw];
-      if (node < 0) continue;
-      std::copy_n(cache.hw_enc[m].row(hw), h, out.row(node));
+    for (size_t i = 0; i < host_hw.size(); ++i) {
+      std::copy_n(cache.hw_enc[m].row(host_hw[i]), h,
+                  out.row(num_operators_ + static_cast<int>(i)));
     }
   }
   return &cache.assembled;

@@ -33,7 +33,11 @@ class PlacementScorer {
     // One forward plan per slot, rebuilt by Bind once per candidate and
     // shared by every member forward of that candidate.
     std::vector<core::ForwardPlan> plans;
-    std::vector<std::vector<int>> host_node_of;
+    // Per slot, the hardware node of each bound host node (host i is node
+    // num_operators + i), plus NumberHosts scratch.
+    std::vector<std::vector<int>> host_hw;
+    std::vector<int> hw_host_scratch;
+    std::vector<int> op_host_scratch;
     core::Ensemble::PredictionScratch target_scratch;
     core::Ensemble::PredictionScratch success_scratch;
     core::Ensemble::PredictionScratch backpressure_scratch;

@@ -50,40 +50,48 @@ uint64_t StructureHash(const core::JointGraph& op_graph,
   return h;
 }
 
+// Every hardware node's host features under kFull. They fix the host
+// encoder's input under every featurization (kPlacementOnly blanks them to a
+// constant) and include the link terms of a link-matrix view.
+std::vector<std::vector<double>> ViewHostFeatures(const sim::Cluster& view) {
+  std::vector<std::vector<double>> features;
+  features.reserve(view.num_nodes());
+  for (int i = 0; i < view.num_nodes(); ++i) {
+    features.push_back(
+        core::HostNodeFeatures(view, i, core::FeaturizationMode::kFull));
+  }
+  return features;
+}
+
 // Hash over the score-relevant CONTENTS of one (query, view) pair: operator
-// feature values plus every hardware node's raw features. Candidate scores
+// feature values plus every hardware node's host features. Candidate scores
 // are pure functions of this plus the candidate signature, so the cache is
 // valid exactly as long as this key is.
 uint64_t SessionKey(const core::JointGraph& op_graph,
-                    const sim::Cluster& view) {
+                    const std::vector<std::vector<double>>& host_features) {
   uint64_t h = kFnvOffset;
   for (const core::JointNode& node : op_graph.nodes) {
     h = FnvMix(h, static_cast<uint64_t>(node.features.size()));
     for (double f : node.features) h = FnvMixDouble(h, f);
   }
-  for (const sim::HardwareNode& node : view.nodes) {
-    h = FnvMixDouble(h, node.cpu_pct);
-    h = FnvMixDouble(h, node.ram_mb);
-    h = FnvMixDouble(h, node.bandwidth_mbits);
-    h = FnvMixDouble(h, node.latency_ms);
+  for (const std::vector<double>& node : host_features) {
+    for (double f : node) h = FnvMixDouble(h, f);
   }
   return h;
 }
 
-// Equivalence classes of the view's hardware nodes: nodes with identical raw
+// Equivalence classes of the view's hardware nodes: nodes with identical host
 // features get the same class id (first-occurrence order). Swapping a
 // candidate's node for a same-class one yields an element-identical joint
 // graph, so such candidates share one cache entry ("interchangeable nodes").
-void HostClasses(const sim::Cluster& view, std::vector<int>& classes) {
-  classes.assign(view.num_nodes(), -1);
+void HostClasses(const std::vector<std::vector<double>>& host_features,
+                 std::vector<int>& classes) {
+  const int n = static_cast<int>(host_features.size());
+  classes.assign(n, -1);
   std::vector<int> reps;
-  for (int i = 0; i < view.num_nodes(); ++i) {
-    const sim::HardwareNode& a = view.nodes[i];
+  for (int i = 0; i < n; ++i) {
     for (size_t c = 0; c < reps.size(); ++c) {
-      const sim::HardwareNode& b = view.nodes[reps[c]];
-      if (a.cpu_pct == b.cpu_pct && a.ram_mb == b.ram_mb &&
-          a.bandwidth_mbits == b.bandwidth_mbits &&
-          a.latency_ms == b.latency_ms) {
+      if (host_features[i] == host_features[reps[c]]) {
         classes[i] = static_cast<int>(c);
         break;
       }
@@ -95,36 +103,29 @@ void HostClasses(const sim::Cluster& view, std::vector<int>& classes) {
   }
 }
 
-// Canonical candidate signature: the per-operator host slot in first-use
-// order (the co-location pattern, exactly how Bind/BuildJointGraph number
-// hosts) followed by each slot's host class. Equal signatures imply
-// element-identical joint graphs under the current view, hence bitwise-equal
-// scores.
+// Canonical candidate signature: each operator's host number in first-use
+// order (the co-location pattern, core::NumberHosts, the numbering every
+// joint graph gives its host nodes) followed by each host's class. Equal
+// signatures imply element-identical joint graphs under the current view,
+// hence bitwise-equal scores.
 void BuildSignature(const sim::Placement& placement,
                     const std::vector<int>& host_class,
-                    std::vector<int>& hw_slot_scratch,
-                    std::vector<int32_t>& sig) {
-  const int n = static_cast<int>(placement.size());
+                    std::vector<int>& hw_host_scratch,
+                    std::vector<int>& host_hw_scratch,
+                    std::vector<int>& sig) {
   sig.clear();
-  sig.reserve(2 * n + 2);
-  hw_slot_scratch.assign(host_class.size(), -1);
-  std::vector<int32_t> slot_class;
-  for (int op = 0; op < n; ++op) {
-    const int hw = placement[op];
-    if (hw_slot_scratch[hw] < 0) {
-      hw_slot_scratch[hw] = static_cast<int>(slot_class.size());
-      slot_class.push_back(static_cast<int32_t>(host_class[hw]));
-    }
-    sig.push_back(static_cast<int32_t>(hw_slot_scratch[hw]));
-  }
+  host_hw_scratch.clear();
+  core::NumberHosts(placement, static_cast<int>(host_class.size()),
+                    hw_host_scratch, sig, host_hw_scratch);
   sig.push_back(-1);
-  sig.insert(sig.end(), slot_class.begin(), slot_class.end());
+  for (const int hw : host_hw_scratch) sig.push_back(host_class[hw]);
 }
 
-uint64_t HashSignature(const std::vector<int32_t>& sig) {
+uint64_t HashSignature(const std::vector<int>& sig) {
   uint64_t h = kFnvOffset;
-  for (int32_t v : sig) h = FnvMix(h, static_cast<uint64_t>(
-                                          static_cast<uint32_t>(v)));
+  for (int v : sig) {
+    h = FnvMix(h, static_cast<uint64_t>(static_cast<uint32_t>(v)));
+  }
   return h;
 }
 
@@ -227,10 +228,13 @@ void ScoringEngine::RankRequests(
   std::vector<uint64_t> sessions(queries.size(), 0);
   std::vector<uint64_t> cand_hashes(queries.size(), 0);
   std::map<uint64_t, std::vector<int>> groups;
+  const std::vector<std::vector<double>> host_features =
+      use_rank_cache ? ViewHostFeatures(view)
+                     : std::vector<std::vector<double>>{};
   for (size_t r = 0; r < queries.size(); ++r) {
     const core::JointGraph op_graph = core::BuildOperatorGraph(*queries[r]);
     if (use_rank_cache) {
-      sessions[r] = SessionKey(op_graph, view);
+      sessions[r] = SessionKey(op_graph, host_features);
       cand_hashes[r] = CandidatesHash(*candidates[r]);
       keys[r] = FnvMix(FnvMix(kFnvOffset, sessions[r]), cand_hashes[r]);
       const auto it = rank_cache_.find(keys[r]);
@@ -251,7 +255,7 @@ void ScoringEngine::RankRequests(
   const placement::QuantizedEnsemble& weights = QuantizedTarget();
   for (const auto& [hash, members] : groups) {
     placement::QuantizedRanker ranker(*queries[members[0]], view, target_,
-                                      &weights);
+                                      &weights, &rank_workspace_);
     std::vector<placement::QuantizedRanker::Request> requests;
     requests.reserve(members.size());
     for (size_t j = 0; j < members.size(); ++j) {
@@ -289,7 +293,7 @@ void ScoringEngine::ScoreSubset(
   struct Miss {
     int idx;
     uint64_t hash;
-    std::vector<int32_t> signature;
+    std::vector<int> signature;
   };
   std::vector<Miss> misses;
   std::vector<Miss> dups;
@@ -298,11 +302,12 @@ void ScoringEngine::ScoreSubset(
     misses.reserve(indices.size());
     for (int idx : indices) misses.push_back({idx, 0, {}});
   } else {
-    std::vector<int> hw_slot_scratch;
+    std::vector<int> hw_host_scratch;
+    std::vector<int> host_hw_scratch;
     std::unordered_map<uint64_t, size_t> seen_this_call;
     for (int idx : indices) {
-      BuildSignature(candidates[idx], host_class, hw_slot_scratch,
-                     sig_scratch_);
+      BuildSignature(candidates[idx], host_class, hw_host_scratch,
+                     host_hw_scratch, sig_scratch_);
       const uint64_t hash = HashSignature(sig_scratch_);
       const auto it = pool->scores.find(hash);
       if (it != pool->scores.end() && it->second.signature == sig_scratch_) {
@@ -384,7 +389,9 @@ ScoringEngine::ScoreResult ScoringEngine::ScoreRequest(
   const core::JointGraph op_graph = core::BuildOperatorGraph(query);
   StructurePool& pool = PoolFor(StructureHash(op_graph, view));
 
-  const uint64_t session = SessionKey(op_graph, view);
+  const std::vector<std::vector<double>> host_features =
+      ViewHostFeatures(view);
+  const uint64_t session = SessionKey(op_graph, host_features);
   if (!pool.session_valid || pool.session_key != session) {
     pool.scores.clear();
     pool.session_key = session;
@@ -392,7 +399,7 @@ ScoringEngine::ScoreResult ScoringEngine::ScoreRequest(
   }
 
   std::vector<int> host_class;
-  HostClasses(view, host_class);
+  HostClasses(host_features, host_class);
 
   // Warm per-structure workspaces: reuse (re-targeted) where they exist,
   // allocate the rest once and keep them pooled for the next tenant.

@@ -124,7 +124,7 @@ class ScoringEngine {
     uint64_t session_key = 0;
     bool session_valid = false;
     struct CachedScore {
-      std::vector<int32_t> signature;  // collision guard
+      std::vector<int> signature;  // collision guard
       placement::PlacementScorer::CandidateScore score;
     };
     std::unordered_map<uint64_t, CachedScore> scores;
@@ -148,6 +148,9 @@ class ScoringEngine {
   FastPathConfig config_;
   std::map<uint64_t, StructurePool> pools_;
   std::unique_ptr<placement::QuantizedEnsemble> quantized_;
+  // The ranking tier's batch graph, plan and float buffers, reused by the
+  // fresh QuantizedRanker each structure group gets.
+  placement::RankWorkspace rank_workspace_;
 
   // Memoized rank vectors. Keyed on a 64-bit mix of (session key, candidate
   // list hash); entries store both components and the candidate count, so a
@@ -162,7 +165,7 @@ class ScoringEngine {
   std::unordered_map<uint64_t, RankCacheEntry> rank_cache_;
 
   // Per-call scratch.
-  std::vector<int32_t> sig_scratch_;
+  std::vector<int> sig_scratch_;
 };
 
 }  // namespace costream::service

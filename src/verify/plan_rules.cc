@@ -263,16 +263,10 @@ ShapeProgram BuildPlanProgram(const core::JointGraph& graph,
     const core::ForwardPlan::Stage& stage = plan.stages[si];
     const std::string loc = StageLoc(static_cast<int>(si));
     ShapeOp msg;
-    if (stage.gather) {
-      msg.kind = ShapeOp::Kind::kRowGather;
-      msg.a = S;
-      msg.indices = stage.gather_rows;
-    } else {
-      msg.kind = ShapeOp::Kind::kSegmentSum;
-      msg.a = S;
-      msg.offsets = stage.offsets;
-      msg.children = stage.children;
-    }
+    msg.kind = ShapeOp::Kind::kSegmentSum;
+    msg.a = S;
+    msg.offsets = stage.offsets;
+    msg.children = stage.children;
     msg.label = loc + ".msg";
     const int msg_id = push(std::move(msg));
     ShapeOp own;
@@ -312,13 +306,16 @@ ShapeProgram BuildPlanProgram(const core::JointGraph& graph,
     }
   }
 
-  // Readout: sum all node states, output MLP, scalar result.
-  ShapeOp total;
-  total.kind = ShapeOp::Kind::kSumRows;
-  total.a = S;
-  total.label = "readout.sum";
+  // Readout: sum each copy's node states, output MLP, one scalar per copy.
+  ShapeOp totals;
+  totals.kind = ShapeOp::Kind::kSegmentSum;
+  totals.a = S;
+  totals.offsets = plan.readout_offsets;
+  totals.children = plan.readout_children;
+  totals.label = "readout.sum";
   program.result =
-      LowerMlp(program, push(std::move(total)), dims.readout_dims, "readout");
+      LowerMlp(program, push(std::move(totals)), dims.readout_dims, "readout");
+  program.result_rows = graph.copies;
   return program;
 }
 

@@ -77,7 +77,7 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {kRuleTapeAddRowMismatch, Severity::kError,
        "row-broadcast add shapes disagree"},
       {kRuleTapeResultNotScalar, Severity::kError,
-       "forward result is not a 1x1 scalar"},
+       "forward result is not one scalar per graph copy"},
       {kRuleTapeBadOperand, Severity::kError,
        "tape op references an undefined operand"},
       {kRuleModelLoadFailed, Severity::kError,

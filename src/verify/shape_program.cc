@@ -152,18 +152,15 @@ std::vector<ShapeDim> InferShapes(const ShapeProgram& program,
         if (ok) out = a;
         break;
       }
-      case ShapeOp::Kind::kSumRows:
-        if (!operand(op.a, &a)) break;
-        out = {1, a.cols};
-        break;
     }
   }
   if (program.result >= 0 && program.result < n) {
     const ShapeDim r = shapes[program.result];
-    if (r.known() && (r.rows != 1 || r.cols != 1)) {
+    if (r.known() && (r.rows != program.result_rows || r.cols != 1)) {
       report->Add(kRuleTapeResultNotScalar, Severity::kError,
                   program.ops[program.result].label,
-                  "forward result is " + Dim(r) + ", want 1x1");
+                  "forward result is " + Dim(r) + ", want " +
+                      std::to_string(program.result_rows) + "x1");
     }
   }
   return shapes;

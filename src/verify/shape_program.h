@@ -25,7 +25,6 @@ struct ShapeOp {
     kLinear,      // a * W + b_row, W: (in x out) — the GEMM shape rule
     kAddRow,      // a + broadcast row b
     kRowScatter,  // a with rows indices[i] replaced by b(i,:)
-    kSumRows,     // 1 x cols(a)
   };
   Kind kind = Kind::kInput;
   int a = -1;  // first operand (program index)
@@ -40,7 +39,8 @@ struct ShapeOp {
 
 struct ShapeProgram {
   std::vector<ShapeOp> ops;
-  int result = -1;  // op index whose output must be 1x1
+  int result = -1;       // op index whose output must be result_rows x 1
+  int result_rows = 1;   // one scalar per graph copy
 };
 
 // Inferred (rows, cols) of one op; {-1, -1} when undecidable because an

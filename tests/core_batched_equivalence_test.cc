@@ -300,6 +300,59 @@ TEST(BatchedEquivalenceTest, GradientsBitwiseIdentical) {
   }
 }
 
+// One forward over a batch graph of K placements returns one output per
+// copy, each bitwise equal to that placement's own single-graph forward:
+// every GEMM computes its rows independently and each copy's segment sums
+// keep the single graph's child order.
+TEST(BatchedEquivalenceTest, BatchGraphMatchesSingleGraphs) {
+  const auto records = FixedCorpus(4, 113);
+  for (const auto mp : {core::MessagePassingMode::kStaged,
+                        core::MessagePassingMode::kTraditional}) {
+    for (const auto feat : {core::FeaturizationMode::kFull,
+                            core::FeaturizationMode::kPlacementOnly,
+                            core::FeaturizationMode::kOperatorsOnly}) {
+      const core::CostModel model(BaseConfig(mp, feat));
+      for (const auto& record : records) {
+        placement::EnumerationConfig enumeration;
+        enumeration.num_candidates = 6;
+        const auto candidates = placement::EnumerateCandidates(
+            record.query, record.cluster, enumeration);
+        ASSERT_GE(candidates.size(), 2u);
+        std::vector<const sim::Placement*> placements;
+        for (const sim::Placement& c : candidates) placements.push_back(&c);
+
+        const core::JointGraph op_graph =
+            core::BuildOperatorGraph(record.query);
+        core::JointGraph batch;
+        std::vector<int> host_hw;
+        core::BuildBatchGraph(op_graph, placements,
+                              record.cluster.num_nodes(), feat, batch,
+                              host_hw);
+        const int n = op_graph.num_operator_nodes;
+        for (int v = 0; v < batch.num_operator_nodes; ++v) {
+          batch.nodes[v].features = op_graph.nodes[v % n].features;
+        }
+        for (size_t i = 0; i < host_hw.size(); ++i) {
+          batch.nodes[batch.num_operator_nodes + i].features =
+              core::HostNodeFeatures(record.cluster, host_hw[i], feat);
+        }
+        nn::Tape tape;
+        const nn::Matrix outputs = tape.value(model.Forward(tape, batch));
+        ASSERT_EQ(outputs.rows(), static_cast<int>(candidates.size()));
+        ASSERT_EQ(outputs.cols(), 1);
+        for (size_t c = 0; c < candidates.size(); ++c) {
+          const core::JointGraph single = core::BuildJointGraph(
+              record.query, record.cluster, candidates[c], feat);
+          nn::Tape single_tape;
+          ASSERT_EQ(outputs(static_cast<int>(c), 0),
+                    single_tape.value(model.Forward(single_tape, single))(0, 0))
+              << "copy " << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchedEquivalenceTest, CachedScorerMatchesFreshGraphs) {
   // The PlacementScorer rewrites only the host tail (and, for the tuner,
   // single parallelism features) of cached graphs. Reusing one workspace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "dsps/query_builder.h"
 
 namespace costream::core {
@@ -157,6 +160,86 @@ TEST(FeaturizerTest, TopoOrderCoversAllOperators) {
   sim::Cluster cluster = TwoNodeCluster();
   const JointGraph g = BuildJointGraph(q, cluster, {0, 1, 1});
   EXPECT_EQ(g.topo_order.size(), 3u);
+}
+
+sim::Cluster ThreeNodeCluster() {
+  sim::Cluster cluster = TwoNodeCluster();
+  cluster.nodes.push_back({300.0, 8000.0, 800.0, 5.0});
+  return cluster;
+}
+
+TEST(BatchGraphTest, LaysOutOperatorsThenHostsCopyByCopy) {
+  const JointGraph op_graph = BuildOperatorGraph(TwoOpQuery());  // 0->1->2
+  const sim::Placement a = {2, 0, 2};
+  const sim::Placement b = {1, 1, 1};
+  const sim::Placement c = {0, 2, 1};
+  JointGraph batch;
+  std::vector<int> host_hw;
+  BuildBatchGraph(op_graph, {&a, &b, &c}, 3, FeaturizationMode::kFull, batch,
+                  host_hw);
+
+  EXPECT_EQ(batch.copies, 3);
+  EXPECT_EQ(batch.num_operator_nodes, 9);
+  EXPECT_EQ(batch.num_host_nodes, 6);
+  ASSERT_EQ(batch.nodes.size(), 15u);
+  // Every copy's operators first, then every copy's hosts, each copy's
+  // hosts in first-use order.
+  EXPECT_EQ(host_hw, (std::vector<int>{2, 0, 1, 0, 2, 1}));
+  for (int v = 0; v < 15; ++v) {
+    const NodeKind want = v < 9 ? op_graph.nodes[v % 3].kind : NodeKind::kHost;
+    EXPECT_EQ(batch.nodes[v].kind, want) << v;
+    EXPECT_TRUE(batch.nodes[v].features.empty()) << v;
+  }
+  const std::vector<std::pair<int, int>> placement_edges = {
+      {0, 9}, {1, 10}, {2, 9}, {3, 11}, {4, 11},
+      {5, 11}, {6, 12}, {7, 13}, {8, 14}};
+  EXPECT_EQ(batch.placement_edges, placement_edges);
+  const std::vector<std::pair<int, int>> dataflow_edges = {
+      {0, 1}, {1, 2}, {3, 4}, {4, 5}, {6, 7}, {7, 8}};
+  EXPECT_EQ(batch.dataflow_edges, dataflow_edges);
+  EXPECT_EQ(batch.topo_order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+
+  // Rebuilding into the same graph replaces every part; without hosts the
+  // copies are bare operator graphs.
+  BuildBatchGraph(op_graph, {&a, &b}, 3, FeaturizationMode::kOperatorsOnly,
+                  batch, host_hw);
+  EXPECT_EQ(batch.copies, 2);
+  EXPECT_EQ(batch.num_operator_nodes, 6);
+  EXPECT_EQ(batch.num_host_nodes, 0);
+  EXPECT_EQ(batch.nodes.size(), 6u);
+  EXPECT_TRUE(batch.placement_edges.empty());
+  EXPECT_TRUE(host_hw.empty());
+  EXPECT_EQ(batch.dataflow_edges.size(), 4u);
+}
+
+TEST(BatchGraphTest, OneCopyMatchesBuildJointGraph) {
+  const QueryGraph q = TwoOpQuery();
+  const sim::Cluster cluster = ThreeNodeCluster();
+  for (const sim::Placement& placement :
+       {sim::Placement{2, 0, 2}, sim::Placement{1, 1, 1},
+        sim::Placement{0, 2, 1}}) {
+    const JointGraph g = BuildJointGraph(q, cluster, placement);
+    JointGraph batch;
+    std::vector<int> host_hw;
+    BuildBatchGraph(BuildOperatorGraph(q), {&placement}, cluster.num_nodes(),
+                    FeaturizationMode::kFull, batch, host_hw);
+    EXPECT_EQ(batch.copies, 1);
+    EXPECT_EQ(batch.num_operator_nodes, g.num_operator_nodes);
+    EXPECT_EQ(batch.num_host_nodes, g.num_host_nodes);
+    EXPECT_EQ(batch.dataflow_edges, g.dataflow_edges);
+    EXPECT_EQ(batch.placement_edges, g.placement_edges);
+    EXPECT_EQ(batch.topo_order, g.topo_order);
+    ASSERT_EQ(batch.nodes.size(), g.nodes.size());
+    for (size_t v = 0; v < g.nodes.size(); ++v) {
+      EXPECT_EQ(batch.nodes[v].kind, g.nodes[v].kind) << v;
+    }
+    ASSERT_EQ(static_cast<int>(host_hw.size()), g.num_host_nodes);
+    for (int i = 0; i < g.num_host_nodes; ++i) {
+      EXPECT_EQ(g.nodes[g.num_operator_nodes + i].features,
+                HostNodeFeatures(cluster, host_hw[i], FeaturizationMode::kFull))
+          << i;
+    }
+  }
 }
 
 TEST(FeaturizerTest, NodeKindNamesAreStable) {

@@ -153,23 +153,18 @@ TEST(GradCheckTest, RowScatterSplitsGradients) {
   });
 }
 
-TEST(GradCheckTest, SumRows) {
-  Parameter a = MakeParam(5, 3, 59);
-  CheckGradients({&a}, [&](Tape& t) {
-    Var y = t.SumRows(t.Leaf(&a));
-    return t.SumAll(t.Mul(y, y));
-  });
-}
-
 TEST(GradCheckTest, BatchedMessagePassingStage) {
   // One full batched stage wired exactly like CostModel::ForwardBatched*:
   // segment-sum of neighbour states, gather of own states, concat, a linear
-  // update, scatter back into the state matrix, then a readout row sum.
+  // update, scatter back into the state matrix, then a one-segment readout
+  // sum over every row.
   Parameter state = MakeParam(4, 2, 65);
   Parameter weight = MakeParam(4, 2, 66);
   const std::vector<int> offsets = {0, 2, 3};
   const std::vector<int> children = {0, 1, 3};
   const std::vector<int> rows = {1, 2};
+  const std::vector<int> readout_offsets = {0, 4};
+  const std::vector<int> readout_children = {0, 1, 2, 3};
   CheckGradients({&state, &weight}, [&](Tape& t) {
     Var s = t.Leaf(&state);
     Var msg = t.SegmentSum(s, offsets, children);
@@ -177,7 +172,7 @@ TEST(GradCheckTest, BatchedMessagePassingStage) {
     Var cat = t.ConcatCols(msg, own);
     Var updated = t.MatMul(cat, t.Leaf(&weight));
     Var next = t.RowScatter(s, updated, rows);
-    Var read = t.SumRows(next);
+    Var read = t.SegmentSum(next, readout_offsets, readout_children);
     return t.SumAll(t.Mul(read, read));
   });
 }

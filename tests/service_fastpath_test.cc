@@ -177,6 +177,34 @@ TEST(ServiceFastPathTest, CandidateCacheHitsOnInterchangeableAndRepeat) {
   }
 }
 
+// Host features carry the mean outgoing link bandwidth and latency, so on a
+// link-matrix cluster two nodes with equal NIC profiles are not
+// interchangeable: node 0 sits alone in its region, node 1 does not. The
+// cache must never hand one the other's score.
+TEST(ServiceFastPathTest, CandidateCacheKeysOnLinkFeatures) {
+  const core::Ensemble target = TinyThroughputEnsemble();
+  const sim::Cluster cluster = GeoFixtureCluster();
+  const dsps::QueryGraph query = ScriptQueries(1)[0];
+  const int n_ops = query.num_operators();
+  const std::vector<sim::Placement> candidates = {sim::Placement(n_ops, 0),
+                                                  sim::Placement(n_ops, 1)};
+  const std::vector<double> factors(candidates.size(), 1.0);
+  const auto score = [&](bool candidate_cache) {
+    FastPathConfig fast;
+    fast.candidate_cache = candidate_cache;
+    fast.num_threads = 1;
+    ScoringEngine engine(&target, nullptr, nullptr, fast);
+    return engine.ScoreRequest(query, cluster, candidates, factors, true, {});
+  };
+  const ScoringEngine::ScoreResult cached = score(true);
+  const ScoringEngine::ScoreResult fresh = score(false);
+  EXPECT_NE(fresh.scored[0].cost, fresh.scored[1].cost);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(cached.scored[i].cost, fresh.scored[i].cost) << i;
+    EXPECT_EQ(cached.scored[i].feasible, fresh.scored[i].feasible) << i;
+  }
+}
+
 TEST(ServiceFastPathTest, AsyncBatchOfOneMatchesSynchronousAdmit) {
   const core::Ensemble target = TinyThroughputEnsemble();
   const std::vector<dsps::QueryGraph> queries = ScriptQueries(12);

@@ -149,7 +149,7 @@ TEST(VerifyShapeTest, NonScalarResultIsTP007) {
 TEST(VerifyShapeTest, ForwardOperandReferenceIsTP008) {
   ShapeProgram p;
   ShapeOp sum;
-  sum.kind = ShapeOp::Kind::kSumRows;
+  sum.kind = ShapeOp::Kind::kSegmentSum;
   sum.a = 1;  // references a later op
   p.ops.push_back(sum);
   AddInput(p, 2, 2);
@@ -170,7 +170,7 @@ TEST(VerifyShapeTest, FailurePoisonsDependentsWithoutCascading) {
   mul.cols = 2;
   p.ops.push_back(mul);
   ShapeOp sum;
-  sum.kind = ShapeOp::Kind::kSumRows;
+  sum.kind = ShapeOp::Kind::kSegmentSum;
   sum.a = 1;
   p.ops.push_back(sum);
   p.result = 2;
