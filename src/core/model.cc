@@ -10,32 +10,33 @@ namespace costream::core {
 
 namespace {
 
-// Flattens `lists` restricted to `rows` into CSR form for Tape::SegmentSum.
-void BuildCsr(const std::vector<int>& rows,
-              const std::vector<std::vector<int>>& lists,
-              std::vector<int>& offsets, std::vector<int>& children) {
-  offsets.assign(rows.size() + 1, 0);
-  int total = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    total += static_cast<int>(lists[rows[i]].size());
-    offsets[i + 1] = total;
-  }
-  children.clear();
-  children.reserve(total);
-  for (int r : rows) {
-    children.insert(children.end(), lists[r].begin(), lists[r].end());
-  }
+// Fills a CSR adjacency over `num_rows` rows from the (row, child) pairs
+// `scan` passes to its callback, children per row in scan order. `scan` runs
+// twice (count, then fill); `cursor` is scratch. Like the helpers below it
+// fills its outputs in place, so per-candidate plan rebuilds reuse capacity.
+template <typename Scan>
+void CsrInto(int num_rows, const Scan& scan, std::vector<int>& offsets,
+             std::vector<int>& children, std::vector<int>& cursor) {
+  offsets.assign(num_rows + 1, 0);
+  scan([&](int row, int) { ++offsets[row + 1]; });
+  for (int r = 0; r < num_rows; ++r) offsets[r + 1] += offsets[r];
+  children.resize(offsets[num_rows]);
+  cursor.assign(offsets.begin(), offsets.end() - 1);
+  scan([&](int row, int child) { children[cursor[row]++] = child; });
 }
 
-// Incoming dataflow neighbours per operator, in dataflow-edge order. Like
-// the helpers below it fills its output in place, so per-candidate plan
-// rebuilds reuse vector capacity.
-void InListsInto(const JointGraph& graph,
-                 std::vector<std::vector<int>>& in_lists) {
-  in_lists.resize(graph.num_operator_nodes);
-  for (auto& list : in_lists) list.clear();
-  for (const auto& [from, to] : graph.dataflow_edges) {
-    in_lists[to].push_back(from);
+// Restricts the adjacency CSR (adj_offsets, adj_children) to `rows`.
+void SubCsr(const std::vector<int>& rows, const std::vector<int>& adj_offsets,
+            const std::vector<int>& adj_children, std::vector<int>& offsets,
+            std::vector<int>& children) {
+  offsets.resize(rows.size() + 1);
+  offsets[0] = 0;
+  children.clear();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (int e = adj_offsets[rows[i]]; e < adj_offsets[rows[i] + 1]; ++e) {
+      children.push_back(adj_children[e]);
+    }
+    offsets[i + 1] = static_cast<int>(children.size());
   }
 }
 
@@ -44,16 +45,20 @@ void InListsInto(const JointGraph& graph,
 // Every input of a wave-L node was updated in an earlier wave, so all nodes
 // of one wave can be processed as a single batch; iterating waves in level
 // order yields exactly the same values as a topological-order walk. Within
-// a wave, nodes keep their topological-order position.
+// a wave, nodes keep their topological-order position. The in-lists come as
+// a CSR over the operators.
 void DataflowWavesInto(const JointGraph& graph,
-                       const std::vector<std::vector<int>>& in_lists,
+                       const std::vector<int>& in_offsets,
+                       const std::vector<int>& in_children,
                        std::vector<int>& level,
                        std::vector<std::vector<int>>& waves) {
   level.assign(graph.num_operator_nodes, 0);
   int max_level = 0;
   for (int v : graph.topo_order) {
     int lv = 0;
-    for (int u : in_lists[v]) lv = std::max(lv, level[u] + 1);
+    for (int e = in_offsets[v]; e < in_offsets[v + 1]; ++e) {
+      lv = std::max(lv, level[in_children[e]] + 1);
+    }
     level[v] = lv;
     max_level = std::max(max_level, lv);
   }
@@ -62,52 +67,31 @@ void DataflowWavesInto(const JointGraph& graph,
   for (int v : graph.topo_order) waves[level[v]].push_back(v);
 }
 
-// Undirected neighbourhood over data-flow and placement edges (traditional
-// message passing), neighbours per node in edge-scan order.
-void NeighborListsInto(const JointGraph& graph,
-                       std::vector<std::vector<int>>& neighbors) {
-  neighbors.resize(graph.nodes.size());
-  for (auto& list : neighbors) list.clear();
-  for (const auto& [from, to] : graph.dataflow_edges) {
-    neighbors[from].push_back(to);
-    neighbors[to].push_back(from);
-  }
-  for (const auto& [op, host] : graph.placement_edges) {
-    neighbors[op].push_back(host);
-    neighbors[host].push_back(op);
-  }
-}
-
 // Partitions `rows` by node kind into update slices (kinds ascending, rows in
 // `rows` order within a kind), reusing the slice vectors' capacity.
 void FillSlices(const JointGraph& graph, const std::vector<int>& rows,
                 std::vector<ForwardPlan::UpdateSlice>& slices) {
+  int slot[kNumNodeKinds] = {};
+  for (int r : rows) slot[static_cast<int>(graph.nodes[r].kind)] = 1;
   size_t used = 0;
   for (int k = 0; k < kNumNodeKinds; ++k) {
-    bool any = false;
-    for (int r : rows) {
-      if (static_cast<int>(graph.nodes[r].kind) == k) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
+    if (slot[k] == 0) continue;
     if (slices.size() <= used) slices.emplace_back();
-    ForwardPlan::UpdateSlice& slice = slices[used++];
-    slice.kind = k;
-    slice.pos.clear();
-    slice.targets.clear();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (static_cast<int>(graph.nodes[rows[i]].kind) == k) {
-        slice.pos.push_back(static_cast<int>(i));
-        slice.targets.push_back(rows[i]);
-      }
-    }
-    // A single-kind batch feeds the whole cat matrix to the update MLP with
-    // no gather; the empty pos encodes that.
-    if (slice.pos.size() == rows.size()) slice.pos.clear();
+    slices[used].kind = k;
+    slices[used].pos.clear();
+    slices[used].targets.clear();
+    slot[k] = static_cast<int>(used++);
   }
   slices.resize(used);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ForwardPlan::UpdateSlice& slice =
+        slices[slot[static_cast<int>(graph.nodes[rows[i]].kind)]];
+    slice.pos.push_back(static_cast<int>(i));
+    slice.targets.push_back(rows[i]);
+  }
+  // A single-kind batch feeds the whole cat matrix to the update MLP with no
+  // gather; the empty pos encodes that.
+  if (used == 1) slices[0].pos.clear();
 }
 
 }  // namespace
@@ -162,64 +146,82 @@ void CostModel::BuildForwardPlan(const JointGraph& graph,
       ForwardPlan::Stage& s1 = next_stage();
       s1.rows.resize(graph.num_host_nodes);
       for (int i = 0; i < graph.num_host_nodes; ++i) s1.rows[i] = num_ops + i;
-      s1.offsets.assign(graph.num_host_nodes + 1, 0);
-      for (const auto& [op, host] : graph.placement_edges) {
-        ++s1.offsets[host - num_ops + 1];
-      }
-      for (int i = 0; i < graph.num_host_nodes; ++i) {
-        s1.offsets[i + 1] += s1.offsets[i];
-      }
-      s1.children.resize(graph.placement_edges.size());
-      plan.cursor_scratch.assign(s1.offsets.begin(), s1.offsets.end() - 1);
-      for (const auto& [op, host] : graph.placement_edges) {
-        s1.children[plan.cursor_scratch[host - num_ops]++] = op;
-      }
+      CsrInto(
+          graph.num_host_nodes,
+          [&](const auto& add) {
+            for (const auto& [op, host] : graph.placement_edges) {
+              add(host - num_ops, op);
+            }
+          },
+          s1.offsets, s1.children, plan.cursor_scratch);
       FillSlices(graph, s1.rows, s1.slices);
       // Stage 2 (HW -> OPS): each operator's one message is its host state.
       ForwardPlan::Stage& s2 = next_stage();
-      s2.children.assign(num_ops, -1);
-      for (const auto& [op, host] : graph.placement_edges) {
-        s2.children[op] = host;
-      }
-      s2.offsets.resize(num_ops + 1);
+      CsrInto(
+          num_ops,
+          [&](const auto& add) {
+            for (const auto& [op, host] : graph.placement_edges) add(op, host);
+          },
+          s2.offsets, s2.children, plan.cursor_scratch);
       s2.rows.resize(num_ops);
       for (int op = 0; op < num_ops; ++op) {
-        COSTREAM_CHECK(s2.children[op] >= 0);
-        s2.offsets[op] = op;
+        COSTREAM_CHECK(s2.offsets[op + 1] == op + 1);  // exactly one host
         s2.rows[op] = op;
       }
-      s2.offsets[num_ops] = num_ops;
       FillSlices(graph, s2.rows, s2.slices);
     }
-    // Stage 3 (SOURCES -> OPS): one batch per topological wave.
-    InListsInto(graph, plan.adjacency_scratch);
-    DataflowWavesInto(graph, plan.adjacency_scratch, plan.level_scratch,
-                      plan.wave_scratch);
+    // Stage 3 (SOURCES -> OPS): one batch per topological wave, messages
+    // from each operator's incoming dataflow neighbours in edge order.
+    CsrInto(
+        num_ops,
+        [&](const auto& add) {
+          for (const auto& [from, to] : graph.dataflow_edges) add(to, from);
+        },
+        plan.adjacency_offsets, plan.adjacency_children, plan.cursor_scratch);
+    DataflowWavesInto(graph, plan.adjacency_offsets, plan.adjacency_children,
+                      plan.level_scratch, plan.wave_scratch);
     for (size_t level = 1; level < plan.wave_scratch.size(); ++level) {
       ForwardPlan::Stage& stage = next_stage();
       const std::vector<int>& wave = plan.wave_scratch[level];
       stage.rows.assign(wave.begin(), wave.end());
-      BuildCsr(wave, plan.adjacency_scratch, stage.offsets, stage.children);
+      SubCsr(wave, plan.adjacency_offsets, plan.adjacency_children,
+             stage.offsets, stage.children);
       FillSlices(graph, stage.rows, stage.slices);
     }
   } else {
-    // Traditional: one stage over every connected node, iterated.
-    NeighborListsInto(graph, plan.adjacency_scratch);
+    // Traditional: one stage over every connected node, iterated; the
+    // undirected neighbourhood over dataflow and placement edges, neighbours
+    // per node in edge-scan order.
+    CsrInto(
+        num_nodes,
+        [&](const auto& add) {
+          for (const auto& [from, to] : graph.dataflow_edges) {
+            add(from, to);
+            add(to, from);
+          }
+          for (const auto& [op, host] : graph.placement_edges) {
+            add(op, host);
+            add(host, op);
+          }
+        },
+        plan.adjacency_offsets, plan.adjacency_children, plan.cursor_scratch);
     ForwardPlan::Stage& stage = next_stage();
     stage.repeat = config_.traditional_iterations;
     for (int v = 0; v < num_nodes; ++v) {
-      if (!plan.adjacency_scratch[v].empty()) stage.rows.push_back(v);
+      if (plan.adjacency_offsets[v + 1] > plan.adjacency_offsets[v]) {
+        stage.rows.push_back(v);
+      }
     }
-    BuildCsr(stage.rows, plan.adjacency_scratch, stage.offsets,
-             stage.children);
+    SubCsr(stage.rows, plan.adjacency_offsets, plan.adjacency_children,
+           stage.offsets, stage.children);
     FillSlices(graph, stage.rows, stage.slices);
   }
   plan.stages.resize(num_stages);
 
   // Readout segments, one per copy: its operator rows ascending, then its
   // host rows. Hosts follow all operators copy by copy (see JointGraph), so
-  // copy c's hosts end at the highest host its placement edges reach, and
-  // the last copy's at the final node.
+  // copy c's hosts end at the highest host its operators use and the last
+  // copy's at the final node.
   const int copies = graph.copies;
   COSTREAM_CHECK(copies >= 1 && num_ops % copies == 0);
   const int copy_ops = num_ops / copies;

@@ -74,7 +74,7 @@ struct ForwardPlan {
   bool ready = false;
 
   // Builder scratch, kept here so per-candidate rebuilds reuse capacity.
-  std::vector<std::vector<int>> adjacency_scratch;
+  std::vector<int> adjacency_offsets, adjacency_children;
   std::vector<std::vector<int>> wave_scratch;
   std::vector<int> level_scratch;
   std::vector<int> cursor_scratch;
