@@ -519,11 +519,15 @@ echo "=== AddressSanitizer fast-path sweep ==="
 # kernel-dispatch parity suite, the quantization suite, and the fast-path
 # agreement suite each get an ASan pass too. The batched-equivalence suite
 # rides along: it holds the only per-node oracle and drives the scorer's
-# cached encodings and the forward plan's indices the quantized ranker reads.
+# cached encodings and the batch-graph plans the quantized ranker walks. So
+# do the featurizer suite, which checks the batch-graph layout the ranker
+# indexes through, and the shape suite, which lowers the plan's segment
+# sums.
 cmake --build build-asan -j "$JOBS" --target nn_kernel_dispatch_test \
-  nn_quantized_test service_fastpath_test core_batched_equivalence_test
+  nn_quantized_test service_fastpath_test core_batched_equivalence_test \
+  core_featurizer_test verify_shape_test
 ctest --test-dir build-asan -R \
-  'nn_kernel_dispatch_test|nn_quantized_test|service_fastpath_test|core_batched_equivalence_test' \
+  'nn_kernel_dispatch_test|nn_quantized_test|service_fastpath_test|core_batched_equivalence_test|core_featurizer_test|verify_shape_test' \
   --output-on-failure
 
 echo "=== AddressSanitizer geo / per-instance DES sweep ==="
