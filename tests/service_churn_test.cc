@@ -3,6 +3,10 @@
 // the aggregated demand equals the sum of the live placements' loads, a
 // retired query exactly restores the pre-admission ledger state, and no node
 // is left overflowed at convergence.
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,6 +210,109 @@ TEST(LoadLedgerTest, UtilizationAndOverflowTrackDemand) {
   EXPECT_GT(ledger.NodePenalty(0), 1.0);  // history persists across iterations
   ledger.ResetCongestion();
   EXPECT_EQ(ledger.NodePenalty(0), 1.0);
+}
+
+// Loads whose magnitudes span 19 decades, so a fold in any order other than
+// ascending id rounds differently.
+sim::BackgroundLoad MixedLoad(nn::Rng& rng, int nodes) {
+  sim::BackgroundLoad load;
+  for (int n = 0; n < nodes; ++n) {
+    load.cpu_load_us.push_back(rng.Uniform(0.1, 1.0) *
+                               std::pow(10.0, rng.Int(-3, 16)));
+    load.out_bytes_per_s.push_back(rng.Uniform(0.1, 1.0) *
+                                   std::pow(10.0, rng.Int(-3, 16)));
+    load.memory_mb.push_back(rng.Uniform(0.1, 1.0) *
+                             std::pow(10.0, rng.Int(-3, 16)));
+  }
+  return load;
+}
+
+std::vector<uint64_t> Bits(const sim::BackgroundLoad& total) {
+  std::vector<uint64_t> bits;
+  for (const std::vector<double>* field :
+       {&total.cpu_load_us, &total.out_bytes_per_s, &total.memory_mb}) {
+    for (double v : *field) {
+      uint64_t b = 0;
+      std::memcpy(&b, &v, sizeof(b));
+      bits.push_back(b);
+    }
+  }
+  return bits;
+}
+
+// The live loads folded from scratch, in ascending or descending id order.
+sim::BackgroundLoad FoldLoads(const ClusterLoadLedger& ledger,
+                              bool ascending) {
+  std::vector<int64_t> ids = ledger.QueryIds();
+  if (!ascending) std::reverse(ids.begin(), ids.end());
+  sim::BackgroundLoad sum;
+  for (int64_t id : ids) {
+    sim::AccumulateBackgroundLoad(ledger.LoadOf(id), ledger.num_nodes(), &sum);
+  }
+  return sum;
+}
+
+void ExpectTotalIsAscendingFold(const ClusterLoadLedger& ledger,
+                                const char* step) {
+  SCOPED_TRACE(step);
+  EXPECT_EQ(Bits(ledger.TotalLoad()), Bits(FoldLoads(ledger, true)));
+  EXPECT_EQ(ledger.CheckInvariants(), "");
+}
+
+// TotalLoad() after every kind of live-set change equals the ascending-id
+// fold of the live loads bit for bit, whether or not it was read in between.
+TEST(LoadLedgerTest, TotalIsAscendingFoldAfterEveryChange) {
+  sim::Cluster cluster;
+  for (int i = 0; i < 3; ++i) {
+    cluster.nodes.push_back({400.0, 8000.0, 1000.0, 5.0});
+  }
+  ClusterLoadLedger ledger(cluster);
+  nn::Rng rng(2718);
+  ExpectTotalIsAscendingFold(ledger, "empty");
+
+  ledger.Admit(10, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(ledger, "admit the first id");
+  ledger.Admit(20, MixedLoad(rng, 3));
+  ledger.Admit(30, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(ledger, "admit newer ids unread");
+  ledger.Admit(40, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(ledger, "admit the newest id");
+
+  ledger.Admit(15, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(ledger, "admit an id below the maximum");
+  // The fixture has teeth: folding in another order changes the bits.
+  EXPECT_NE(Bits(FoldLoads(ledger, true)), Bits(FoldLoads(ledger, false)));
+
+  ASSERT_TRUE(ledger.Retire(10));
+  ExpectTotalIsAscendingFold(ledger, "retire the oldest");
+  ASSERT_TRUE(ledger.Retire(20));
+  ExpectTotalIsAscendingFold(ledger, "retire a middle id");
+  ASSERT_TRUE(ledger.Retire(40));
+  ExpectTotalIsAscendingFold(ledger, "retire the newest");
+  ASSERT_TRUE(ledger.Retire(15));
+  ledger.Admit(50, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(ledger, "retire, then admit the newest unread");
+  EXPECT_FALSE(ledger.Retire(99));
+  ExpectTotalIsAscendingFold(ledger, "retire an unknown id");
+
+  ASSERT_TRUE(ledger.Retire(30));
+  ASSERT_TRUE(ledger.Retire(50));
+  ExpectTotalIsAscendingFold(ledger, "retire all");
+  EXPECT_TRUE(ledger.TotalLoad().empty());
+  ledger.Admit(5, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(ledger, "admit after retiring all");
+  ledger.Admit(6, MixedLoad(rng, 3));
+
+  const std::vector<uint64_t> original = Bits(ledger.TotalLoad());
+  ClusterLoadLedger copy = ledger;
+  ExpectTotalIsAscendingFold(copy, "copy");
+  copy.Admit(60, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(copy, "admit the newest into the copy");
+  ASSERT_TRUE(copy.Retire(5));
+  copy.Admit(1, MixedLoad(rng, 3));
+  ExpectTotalIsAscendingFold(copy, "retire from and admit below in the copy");
+  EXPECT_EQ(Bits(ledger.TotalLoad()), original);
+  ExpectTotalIsAscendingFold(ledger, "original after the copy changed");
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 // seeded churn script replays to the same admissions, the same final
 // placements, and the same ledger totals at 1 and 4 threads.
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "core/trainer.h"
+#include "dsps/query_builder.h"
 #include "service/placement_service.h"
 #include "sim/fluid_engine.h"
 #include "workload/corpus.h"
@@ -137,6 +140,128 @@ TEST(ServiceDeterminismTest, RerunWithSameThreadsIsIdentical) {
     EXPECT_EQ(a.admissions[i].predicted, b.admissions[i].predicted);
   }
   EXPECT_EQ(a.final_placements, b.final_placements);
+}
+
+// Decisions and ledger totals appended as 64-bit words (doubles by bit
+// pattern), hashed in order with FNV-1a 64.
+class EventDigest {
+ public:
+  void Add(uint64_t v) { words_.push_back(v); }
+  void Add(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    words_.push_back(bits);
+  }
+  void Add(const std::vector<int>& values) {
+    Add(static_cast<uint64_t>(values.size()));
+    for (int v : values) Add(static_cast<uint64_t>(static_cast<int64_t>(v)));
+  }
+  void Add(const AdmitResult& r) {
+    Add(static_cast<uint64_t>(r.id));
+    Add(r.placement);
+    Add(r.predicted);
+    Add(r.penalized);
+    Add(static_cast<uint64_t>(r.feasible));
+    Add(static_cast<uint64_t>(r.candidates_evaluated));
+  }
+  void Add(const sim::BackgroundLoad& total) {
+    Add(static_cast<uint64_t>(total.cpu_load_us.size()));
+    for (size_t n = 0; n < total.cpu_load_us.size(); ++n) {
+      Add(total.cpu_load_us[n]);
+      Add(total.out_bytes_per_s[n]);
+      Add(total.memory_mb[n]);
+    }
+  }
+  uint64_t Value() const {
+    return common::Fnv1a64(words_.data(), words_.size() * sizeof(uint64_t));
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
+// About 0.9 of node 0's CPU per query (fixture of service_convergence_test,
+// scaled to node 0's two cores): two of them overflow the node.
+dsps::QueryGraph HeavyQuery() {
+  dsps::QueryBuilder b;
+  auto s = b.Source(12800.0,
+                    std::vector<dsps::DataType>(8, dsps::DataType::kString));
+  auto f = b.Filter(s, dsps::FilterFunction::kStartsWith,
+                    dsps::DataType::kString, 0.8);
+  return b.Sink(f);
+}
+
+struct ScriptDigest {
+  uint64_t value = 0;
+  int ripups = 0;
+};
+
+// Sync admits; an async burst drained after an interleaved sync Admit (the
+// drain then admits ids below the newest live id); retiring the oldest, a
+// middle and the newest tenant; a pile-up on node 0 resolved by Converge.
+// Every decision and the ledger total after every event go into the digest.
+ScriptDigest RunDigestScript(const core::Ensemble& target, int num_threads) {
+  ServiceConfig config;
+  config.target = sim::Metric::kThroughput;
+  config.num_candidates = 10;
+  config.seed = 91;
+  config.num_threads = num_threads;
+  PlacementService service(FixtureCluster(), &target, nullptr, nullptr,
+                           config);
+  workload::QueryGenerator generator(workload::GeneratorConfig{});
+  nn::Rng rng(4711);
+  auto next_query = [&] {
+    return generator.Generate(
+        static_cast<workload::QueryTemplate>(rng.Int(0, 3)), rng);
+  };
+  EventDigest digest;
+  auto event_done = [&] { digest.Add(service.ledger().TotalLoad()); };
+
+  for (int i = 0; i < 6; ++i) {
+    digest.Add(service.Admit(next_query()));
+    event_done();
+  }
+  for (int i = 0; i < 5; ++i) service.AdmitAsync(next_query());
+  digest.Add(service.Admit(next_query()));
+  event_done();
+  for (const AdmitResult& r : service.DrainAdmissions()) digest.Add(r);
+  event_done();
+
+  const std::vector<int64_t> ids = service.QueryIds();
+  for (const int64_t id : {ids.front(), ids[ids.size() / 2], ids.back()}) {
+    service.Retire(id);
+    event_done();
+  }
+  digest.Add(service.Admit(next_query()));
+  event_done();
+
+  const dsps::QueryGraph heavy = HeavyQuery();
+  for (int i = 0; i < 3; ++i) {
+    digest.Add(service.AdmitWithPlacement(
+        heavy, sim::Placement(heavy.num_operators(), 0)));
+    event_done();
+  }
+  const ConvergeResult converge = service.Converge();
+  digest.Add(static_cast<uint64_t>(converge.iterations));
+  digest.Add(static_cast<uint64_t>(converge.ripups));
+  digest.Add(static_cast<uint64_t>(converge.converged));
+  digest.Add(converge.overflowed_nodes);
+  event_done();
+  for (const int64_t id : service.QueryIds()) {
+    digest.Add(static_cast<uint64_t>(id));
+    digest.Add(service.PlacementOf(id));
+  }
+  EXPECT_EQ(service.ledger().CheckInvariants(), "");
+  return {digest.Value(), converge.ripups};
+}
+
+TEST(ServiceDeterminismTest, ScriptedRunDigestIsPinned) {
+  const core::Ensemble target = TinyThroughputEnsemble();
+  const ScriptDigest serial = RunDigestScript(target, 1);
+  const ScriptDigest parallel = RunDigestScript(target, 4);
+  EXPECT_GT(serial.ripups, 0);
+  EXPECT_EQ(serial.value, parallel.value);
+  EXPECT_EQ(serial.value, 0xdf7cba21615dd517ull) << std::hex << serial.value;
 }
 
 }  // namespace
