@@ -37,9 +37,11 @@ struct EnumerationConfig {
   int num_bins = 3;
   uint64_t seed = 1;
   // Worker threads for checking the placement rules of sampled candidates
-  // (<= 0: all hardware threads). Sampling itself stays on the sequential
-  // RNG and verdicts are consumed in sample order, so the returned
-  // candidates are identical for every thread count.
+  // (<= 0: all hardware threads). Only samples for which the sampler fell
+  // back to co-location are checked; every other sample conforms by
+  // construction. Sampling itself stays on the sequential RNG and verdicts
+  // are consumed in sample order, so the returned candidates are identical
+  // for every thread count.
   int num_threads = 0;
 };
 
