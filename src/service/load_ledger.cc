@@ -35,10 +35,21 @@ void ClusterLoadLedger::Admit(int64_t id, const sim::BackgroundLoad& load) {
   COSTREAM_CHECK(static_cast<int>(load.cpu_load_us.size()) == num_nodes());
   COSTREAM_CHECK(static_cast<int>(load.out_bytes_per_s.size()) == num_nodes());
   COSTREAM_CHECK(static_cast<int>(load.memory_mb.size()) == num_nodes());
+  // An id above every live id is the next step of the ascending-id fold
+  // (the first step being 0.0 + load, as in AccumulateBackgroundLoad).
+  if (!total_stale_ && (loads_.empty() || id > loads_.rbegin()->first)) {
+    sim::AccumulateBackgroundLoad(load, num_nodes(), &total_);
+  } else {
+    total_stale_ = true;
+  }
   loads_.emplace(id, load);
 }
 
-bool ClusterLoadLedger::Retire(int64_t id) { return loads_.erase(id) > 0; }
+bool ClusterLoadLedger::Retire(int64_t id) {
+  if (loads_.erase(id) == 0) return false;
+  total_stale_ = true;
+  return true;
+}
 
 std::vector<int64_t> ClusterLoadLedger::QueryIds() const {
   std::vector<int64_t> ids;
@@ -53,8 +64,12 @@ const sim::BackgroundLoad& ClusterLoadLedger::LoadOf(int64_t id) const {
   return it->second;
 }
 
-sim::BackgroundLoad ClusterLoadLedger::TotalLoad() const {
-  return TotalLoadExcluding(std::numeric_limits<int64_t>::min());
+const sim::BackgroundLoad& ClusterLoadLedger::TotalLoad() const {
+  if (total_stale_) {
+    total_ = TotalLoadExcluding(std::numeric_limits<int64_t>::min());
+    total_stale_ = false;
+  }
+  return total_;
 }
 
 sim::BackgroundLoad ClusterLoadLedger::TotalLoadExcluding(int64_t id) const {
@@ -78,7 +93,7 @@ sim::Cluster ClusterLoadLedger::LoadedViewExcluding(int64_t id) const {
 
 double ClusterLoadLedger::NodeUtilization(int n) const {
   COSTREAM_CHECK(n >= 0 && n < num_nodes());
-  const sim::BackgroundLoad total = TotalLoad();
+  const sim::BackgroundLoad& total = TotalLoad();
   if (total.empty()) return 0.0;
   const sim::NodeCapacity& cap = capacity_[n];
   const double cpu = total.cpu_load_us[n] / cap.cpu_us_per_s;
@@ -186,10 +201,9 @@ std::string ClusterLoadLedger::CheckInvariants() const {
       }
     }
   }
-  // The aggregate must equal the ascending-id sum of the live loads exactly
-  // (TotalLoad is defined as that sum, so this guards the bookkeeping path,
-  // not floating-point identities).
-  const sim::BackgroundLoad total = TotalLoad();
+  // The cached aggregate must equal a fresh ascending-id sum of the live
+  // loads exactly: this guards the cache's incremental and stale paths.
+  const sim::BackgroundLoad& total = TotalLoad();
   sim::BackgroundLoad recomputed;
   for (const auto& [id, load] : loads_) {
     sim::AccumulateBackgroundLoad(load, num_nodes(), &recomputed);

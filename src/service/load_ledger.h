@@ -33,10 +33,13 @@ struct LedgerConfig {
 // and overflow counts with escalating penalties) that the placement service
 // uses to reprice contended nodes across rip-up iterations.
 //
-// Determinism: totals are recomputed by summing the per-query loads in
-// ascending id order, so they are a pure function of the live set — admitting
-// and then retiring a query restores the previous totals bitwise, and the
-// result never depends on the order in which queries arrived or departed.
+// Determinism: the total is the sum of the per-query loads in ascending id
+// order, so it is a pure function of the live set — admitting and then
+// retiring a query restores the previous total bitwise, and the result never
+// depends on the order in which queries arrived or departed. The sum is
+// cached: admitting an id above every live id adds its load to the cache
+// (the next step of the same fold); any other admission and every
+// retirement mark the cache stale, and the next reader sums afresh.
 class ClusterLoadLedger {
  public:
   explicit ClusterLoadLedger(sim::Cluster cluster,
@@ -62,8 +65,10 @@ class ClusterLoadLedger {
 
   // --- Aggregated demand ----------------------------------------------------
 
-  // Sum of all live loads (empty BackgroundLoad when no query is live).
-  sim::BackgroundLoad TotalLoad() const;
+  // Sum of all live loads (empty BackgroundLoad when no query is live). The
+  // reference stays valid until the next Admit or Retire. Not safe to call
+  // concurrently with itself: a stale cache is refreshed here.
+  const sim::BackgroundLoad& TotalLoad() const;
   // Sum of all live loads except `id` (which may or may not be live).
   sim::BackgroundLoad TotalLoadExcluding(int64_t id) const;
 
@@ -111,8 +116,9 @@ class ClusterLoadLedger {
   // --- Self-check (tests, costream_serve --check) ---------------------------
 
   // Verifies the ledger's internal invariants: every stored load is sized to
-  // the cluster and non-negative, and the aggregated totals equal the sum of
-  // the live per-query loads exactly. Returns "" when consistent.
+  // the cluster and non-negative, and the cached total equals a fresh
+  // ascending-id sum of the live per-query loads exactly. Returns "" when
+  // consistent.
   std::string CheckInvariants() const;
 
  private:
@@ -128,6 +134,9 @@ class ClusterLoadLedger {
   // Live loads keyed by query id; std::map keeps iteration (and therefore
   // summation) in ascending-id order.
   std::map<int64_t, sim::BackgroundLoad> loads_;
+  // TotalLoad() cache; refreshed by the const reader when stale.
+  mutable sim::BackgroundLoad total_;
+  mutable bool total_stale_ = false;
   std::vector<int> he_;  // history: iterations a node has spent overflowed
   std::vector<int> of_;  // current overflow magnitude (margin-fractions over)
   // Precomputed escalating overflow penalties: table[k] = growth^k, clamped
