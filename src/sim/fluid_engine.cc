@@ -99,18 +99,30 @@ double QueueMultiplier(double utilization) {
   return 1.0 / (1.0 - std::min(utilization, kQueueCap));
 }
 
-}  // namespace
+// The part of an evaluation both entry points need: the nominal flows and
+// node evaluation, and the sustained source scale.
+struct ScaledFlows {
+  std::vector<int> topo;
+  Flows nominal_flows;
+  NodeEval nominal_eval;
+  bool backpressure = false;
+  double scale = 1.0;
+};
 
-FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
+// Checks the inputs (and runs the verifier when verification is on), then
+// evaluates the nominal rates and, under backpressure, bisects for the
+// sustainable source scale (the largest fraction of the nominal rates whose
+// bottleneck utilization is <= 1).
+ScaledFlows EvaluateScale(const QueryGraph& query, const Cluster& cluster,
                           const Placement& placement,
-                          const FluidConfig& config) {
+                          const BackgroundLoad& background) {
   COSTREAM_CHECK_MSG(query.Validate().empty(), query.Validate().c_str());
   COSTREAM_CHECK_MSG(ValidatePlacement(query, cluster, placement).empty(),
                      "invalid placement");
   COSTREAM_CHECK_MSG(ValidateLinkMatrix(cluster).empty(),
                      ValidateLinkMatrix(cluster).c_str());
-  COSTREAM_CHECK(config.background.empty() ||
-                 static_cast<int>(config.background.cpu_load_us.size()) ==
+  COSTREAM_CHECK(background.empty() ||
+                 static_cast<int>(background.cpu_load_us.size()) ==
                      cluster.num_nodes());
   if (verify::VerificationEnabled()) {
     verify::VerifyReport vreport;
@@ -122,47 +134,96 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
       obs::GetCounter("sim.fluid.bisection_iterations");
   static obs::Counter& metric_backpressure =
       obs::GetCounter("sim.fluid.backpressure");
-  static obs::Counter& metric_crashes = obs::GetCounter("sim.fluid.crashes");
   metric_evals.Increment();
 
-  const std::vector<int> topo = query.TopologicalOrder();
-
+  ScaledFlows out;
+  out.topo = query.TopologicalOrder();
   // Utilization at the nominal rates decides backpressure.
-  const Flows nominal_flows = ComputeFlows(query, topo, 1.0);
-  const NodeEval nominal_eval = EvaluateNodes(query, cluster, placement,
-                                              nominal_flows,
-                                              config.background);
-
-  FluidReport report;
-  report.bottleneck_utilization = nominal_eval.max_utilization;
-  const bool backpressure = nominal_eval.max_utilization > 1.0;
-
-  // Under backpressure, bisect for the sustainable source scale (the largest
-  // fraction of the nominal rates whose bottleneck utilization is <= 1).
-  double scale = 1.0;
-  if (backpressure) {
+  out.nominal_flows = ComputeFlows(query, out.topo, 1.0);
+  out.nominal_eval = EvaluateNodes(query, cluster, placement,
+                                   out.nominal_flows, background);
+  out.backpressure = out.nominal_eval.max_utilization > 1.0;
+  if (out.backpressure) {
     metric_backpressure.Increment();
     double lo = 0.0;
     double hi = 1.0;
     for (int iter = 0; iter < 40; ++iter) {
       metric_bisect_iters.Increment();
       const double mid = 0.5 * (lo + hi);
-      const Flows flows = ComputeFlows(query, topo, std::max(mid, 1e-9));
-      const NodeEval eval = EvaluateNodes(query, cluster, placement, flows,
-                                          config.background);
+      const Flows flows = ComputeFlows(query, out.topo, std::max(mid, 1e-9));
+      const NodeEval eval =
+          EvaluateNodes(query, cluster, placement, flows, background);
       if (eval.max_utilization > 1.0) {
         hi = mid;
       } else {
         lo = mid;
       }
     }
-    scale = std::max(lo, 1e-9);
+    out.scale = std::max(lo, 1e-9);
   }
+  return out;
+}
+
+// Runs the runtime oracle when verification is on: the nominal (scale = 1)
+// per-node and per-link utilizations, plus the noiseless processing latency
+// when one was computed (negative: none), must lie inside the intervals
+// proven by the DF dataflow analysis. Both run the same flow math
+// (flow_math.h), so a violation means the interval arithmetic over it is
+// unsound — abort loudly rather than silently produce labels the verifier
+// can't vouch for.
+void CheckOracle(const QueryGraph& query, const Cluster& cluster,
+                 const Placement& placement, const BackgroundLoad& background,
+                 const NodeEval& nominal_eval, double processing_latency_ms,
+                 double duration_s) {
+  if (!verify::VerificationEnabled()) return;
+  static obs::Counter& metric_oracle_checks =
+      obs::GetCounter("verify.oracle.checks");
+  static obs::Counter& metric_oracle_violations =
+      obs::GetCounter("verify.oracle.violations");
+  verify::FluidOracleInput oracle;
+  oracle.node_cpu_utilization.reserve(nominal_eval.stats.size());
+  oracle.node_net_utilization.reserve(nominal_eval.stats.size());
+  for (const NodeStats& s : nominal_eval.stats) {
+    oracle.node_cpu_utilization.push_back(s.cpu_utilization);
+    oracle.node_net_utilization.push_back(s.net_utilization);
+  }
+  oracle.link_utilization = nominal_eval.link_utilization;
+  oracle.processing_latency_ms = processing_latency_ms;
+  oracle.duration_s = duration_s;
+  metric_oracle_checks.Increment();
+  const std::string violation = verify::CheckFluidOracle(
+      query, cluster, placement, &background, oracle);
+  if (!violation.empty()) {
+    metric_oracle_violations.Increment();
+    std::fprintf(stderr, "[costream] fluid oracle violation: %s\n",
+                 violation.c_str());
+    std::abort();
+  }
+}
+
+}  // namespace
+
+FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
+                          const Placement& placement,
+                          const FluidConfig& config) {
+  static obs::Counter& metric_crashes = obs::GetCounter("sim.fluid.crashes");
+  const ScaledFlows scaled =
+      EvaluateScale(query, cluster, placement, config.background);
+  const std::vector<int>& topo = scaled.topo;
+  const bool backpressure = scaled.backpressure;
+  const double scale = scaled.scale;
+
+  FluidReport report;
+  report.bottleneck_utilization = scaled.nominal_eval.max_utilization;
   report.source_scale = scale;
 
-  const Flows flows = ComputeFlows(query, topo, scale);
+  // Without backpressure the sustained rates are the nominal ones.
+  const Flows flows = backpressure ? ComputeFlows(query, topo, scale)
+                                   : scaled.nominal_flows;
   const NodeEval eval =
-      EvaluateNodes(query, cluster, placement, flows, config.background);
+      backpressure ? EvaluateNodes(query, cluster, placement, flows,
+                                   config.background)
+                   : scaled.nominal_eval;
   report.node_stats = eval.stats;
   report.link_utilization = eval.link_utilization;
   report.op_cpu_load_us.reserve(query.num_operators());
@@ -301,50 +362,25 @@ FluidReport EvaluateFluid(const QueryGraph& query, const Cluster& cluster,
                     noisy.processing_latency_ms <= config.duration_s * 1000.0;
   }
 
-  // Runtime oracle: every evaluation's nominal (scale = 1) per-node and
-  // per-link utilizations, plus the noiseless processing latency, must lie
-  // inside the intervals proven by the DF dataflow analysis. Both run the
-  // same flow math (flow_math.h), so a violation means the interval
-  // arithmetic over it is unsound — abort loudly rather than silently
-  // produce labels the verifier can't vouch for.
-  if (verify::VerificationEnabled()) {
-    static obs::Counter& metric_oracle_checks =
-        obs::GetCounter("verify.oracle.checks");
-    static obs::Counter& metric_oracle_violations =
-        obs::GetCounter("verify.oracle.violations");
-    verify::FluidOracleInput oracle;
-    oracle.node_cpu_utilization.reserve(nominal_eval.stats.size());
-    oracle.node_net_utilization.reserve(nominal_eval.stats.size());
-    for (const NodeStats& s : nominal_eval.stats) {
-      oracle.node_cpu_utilization.push_back(s.cpu_utilization);
-      oracle.node_net_utilization.push_back(s.net_utilization);
-    }
-    oracle.link_utilization = nominal_eval.link_utilization;
-    oracle.processing_latency_ms =
-        report.noiseless_metrics.processing_latency_ms;
-    oracle.duration_s = config.duration_s;
-    metric_oracle_checks.Increment();
-    const std::string violation = verify::CheckFluidOracle(
-        query, cluster, placement, &config.background, oracle);
-    if (!violation.empty()) {
-      metric_oracle_violations.Increment();
-      std::fprintf(stderr, "[costream] fluid oracle violation: %s\n",
-                   violation.c_str());
-      std::abort();
-    }
-  }
+  CheckOracle(query, cluster, placement, config.background,
+              scaled.nominal_eval,
+              report.noiseless_metrics.processing_latency_ms,
+              config.duration_s);
   return report;
 }
 
 BackgroundLoad ComputeBackgroundLoad(const QueryGraph& query,
                                      const Cluster& cluster,
                                      const Placement& placement) {
-  FluidConfig config;
-  config.noise_sigma = 0.0;
-  const FluidReport report = EvaluateFluid(query, cluster, placement, config);
-
-  const Flows flows =
-      ComputeFlows(query, query.TopologicalOrder(), report.source_scale);
+  // Only the sustained scale is needed: no latency DP, metrics or report.
+  const BackgroundLoad idle;
+  const ScaledFlows scaled = EvaluateScale(query, cluster, placement, idle);
+  // No latency was computed, so the oracle has no latency bound to check.
+  CheckOracle(query, cluster, placement, idle, scaled.nominal_eval, -1.0,
+              FluidConfig().duration_s);
+  const Flows flows = scaled.backpressure
+                          ? ComputeFlows(query, scaled.topo, scaled.scale)
+                          : scaled.nominal_flows;
   std::vector<NodeLoad<double>> loads(cluster.num_nodes());
   // Each query runs its own worker process on every node it touches, so the
   // loads include the worker base memory.
