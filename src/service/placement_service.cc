@@ -66,21 +66,20 @@ PlacementService::PlacementService(sim::Cluster cluster,
     fast.rank_widen_rounds = config_.rank_widen_rounds;
     fast.candidate_cache = config_.candidate_cache;
     fast.num_threads = config_.num_threads;
+    pool_ = std::make_unique<common::ThreadPool>(config_.num_threads);
     engine_ = std::make_unique<ScoringEngine>(target_, success_,
-                                              backpressure_, fast);
+                                              backpressure_, fast, pool_.get());
   }
 }
 
 PlacementService::~PlacementService() = default;
 
 double PlacementService::CandidatePenaltyFactor(
-    const dsps::QueryGraph& query, const sim::Placement& placement,
-    const sim::BackgroundLoad& total) const {
+    const sim::BackgroundLoad& load, const sim::BackgroundLoad& total) const {
   // Present congestion: the candidate is priced with its own steady-state
   // demand added to the current ledger totals, so overflow a candidate
   // *would* cause costs immediately — not only after the next repricing.
-  const double price = ledger_.PlacementPenalty(
-      sim::ComputeBackgroundLoad(query, ledger_.cluster(), placement), total);
+  const double price = ledger_.PlacementPenalty(load, total);
   return 1.0 + config_.penalty_weight * (price - 1.0);
 }
 
@@ -163,13 +162,16 @@ PlacementService::Choice PlacementService::SelectCandidates(
 
   // Congestion factors first: the engine's top-k pre-selection ranks under
   // the same penalized objective the final selection uses. Skipped
-  // candidates need no factor either (they cannot win).
+  // candidates need no factor either (they cannot win). Each candidate's
+  // load is kept for Record. The total is read (and refreshed) before the
+  // fan-out.
   std::vector<double> factors(m);
-  const sim::BackgroundLoad total = ledger_.TotalLoad();
-  const int threads =
-      std::max(1, std::min(common::ResolveNumThreads(config_.num_threads), m));
-  common::ParallelForIndexed(threads, m, [&](int /*worker*/, int j) {
-    factors[j] = CandidatePenaltyFactor(query, candidates[to_score[j]], total);
+  std::vector<sim::BackgroundLoad> loads(m);
+  const sim::BackgroundLoad& total = ledger_.TotalLoad();
+  pool_->ParallelFor(m, [&](int j) {
+    loads[j] = sim::ComputeBackgroundLoad(query, ledger_.cluster(),
+                                          candidates[to_score[j]]);
+    factors[j] = CandidatePenaltyFactor(loads[j], total);
   });
 
   // Batched scoring against the load-adjusted view, exactly like the one-shot
@@ -243,13 +245,14 @@ PlacementService::Choice PlacementService::SelectCandidates(
   choice.predicted = scored[chosen].cost;
   choice.penalized = penalized[chosen];
   choice.feasible = tier == 0 || tier == 2;
+  choice.load = std::move(loads[chosen]);
   return choice;
 }
 
 PlacementService::Choice PlacementService::PlaceGreedyFirstFit(
     const dsps::QueryGraph& query) const {
   const sim::Cluster& cluster = ledger_.cluster();
-  const sim::BackgroundLoad total = ledger_.TotalLoad();
+  const sim::BackgroundLoad& total = ledger_.TotalLoad();
   const double margin = config_.ledger.capacity_margin;
 
   Choice choice;
@@ -258,7 +261,7 @@ PlacementService::Choice PlacementService::PlaceGreedyFirstFit(
   double fallback_util = std::numeric_limits<double>::infinity();
   for (int n = 0; n < cluster.num_nodes(); ++n) {
     const sim::Placement all_on_n(query.num_operators(), n);
-    const sim::BackgroundLoad extra =
+    sim::BackgroundLoad extra =
         sim::ComputeBackgroundLoad(query, cluster, all_on_n);
     const sim::NodeCapacity cap = sim::CapacityOf(cluster.nodes[n]);
     double cpu = extra.cpu_load_us[n];
@@ -276,6 +279,7 @@ PlacementService::Choice PlacementService::PlaceGreedyFirstFit(
       choice.placement = all_on_n;
       choice.feasible = true;
       choice.candidates_evaluated = n + 1;
+      choice.load = std::move(extra);
       return choice;
     }
     if (util < fallback_util) {
@@ -286,6 +290,7 @@ PlacementService::Choice PlacementService::PlaceGreedyFirstFit(
   // Nothing fits: least-loaded node (first-fit semantics still deterministic).
   choice.placement.assign(query.num_operators(), fallback);
   choice.candidates_evaluated = cluster.num_nodes();
+  choice.load = sim::ComputeBackgroundLoad(query, cluster, choice.placement);
   return choice;
 }
 
@@ -294,8 +299,7 @@ AdmitResult PlacementService::Record(int64_t id, const dsps::QueryGraph& query,
   static obs::Counter& metric_admissions =
       obs::GetCounter("service.admissions");
   static obs::Gauge& metric_live = obs::GetGauge("service.live_queries");
-  ledger_.Admit(id, sim::ComputeBackgroundLoad(query, ledger_.cluster(),
-                                               choice.placement));
+  ledger_.Admit(id, choice.load);
   entries_.emplace(id, Entry{query, choice.placement});
   metric_admissions.Increment();
   metric_live.Set(static_cast<double>(ledger_.live_queries()));
@@ -396,6 +400,7 @@ AdmitResult PlacementService::AdmitWithPlacement(
   const int64_t id = next_id_++;
   Choice choice;
   choice.placement = placement;
+  choice.load = sim::ComputeBackgroundLoad(query, ledger_.cluster(), placement);
   return Record(id, query, choice);
 }
 
@@ -453,8 +458,7 @@ ConvergeResult PlacementService::Converge() {
           entry.query, view,
           DeriveSeed(config_.seed, static_cast<uint64_t>(id), iter + 1));
       entry.placement = choice.placement;
-      ledger_.Admit(id, sim::ComputeBackgroundLoad(
-                            entry.query, ledger_.cluster(), entry.placement));
+      ledger_.Admit(id, choice.load);
       ++result.ripups;
     }
   }

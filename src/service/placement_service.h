@@ -14,6 +14,10 @@
 #include "sim/cost_metrics.h"
 #include "sim/hardware.h"
 
+namespace costream::common {
+class ThreadPool;
+}  // namespace costream::common
+
 namespace costream::service {
 
 class ScoringEngine;
@@ -40,9 +44,10 @@ struct ServiceConfig {
   // (seed, query id, iteration), so decisions depend on nothing but the
   // admission history — never on thread count or wall clock.
   uint64_t seed = 1;
-  // Worker threads for candidate scoring (<= 0: all hardware threads).
-  // Results are bitwise-identical for every value (per-candidate slots,
-  // selection in enumeration order).
+  // Worker threads for candidate pricing and scoring (<= 0: all hardware
+  // threads), one pool kept for the service's lifetime. Results are
+  // bitwise-identical for every value (per-candidate slots, selection in
+  // enumeration order).
   int num_threads = 0;
   // Rip-up iteration cap of Converge().
   int max_iterations = 16;
@@ -196,6 +201,9 @@ class PlacementService {
     double penalized = 0.0;
     bool feasible = false;
     int candidates_evaluated = 0;
+    // Steady-state demand of `placement` on the bare cluster (what Record
+    // admits to the ledger), kept from the pricing that chose it.
+    sim::BackgroundLoad load;
   };
 
   // One learned (or greedy) placement decision for `query` against `view`.
@@ -220,11 +228,10 @@ class PlacementService {
                           const std::vector<double>* ranked,
                           const std::vector<char>* demoted) const;
   Choice PlaceGreedyFirstFit(const dsps::QueryGraph& query) const;
-  // Congestion multiplier of a candidate: the ledger's present-congestion
-  // price of adding the candidate's steady-state demand, scaled by
+  // Congestion multiplier of a candidate whose steady-state demand is
+  // `load`: the ledger's present-congestion price of adding it, scaled by
   // config.penalty_weight.
-  double CandidatePenaltyFactor(const dsps::QueryGraph& query,
-                                const sim::Placement& placement,
+  double CandidatePenaltyFactor(const sim::BackgroundLoad& load,
                                 const sim::BackgroundLoad& total) const;
   AdmitResult Record(int64_t id, const dsps::QueryGraph& query,
                      const Choice& choice);
@@ -237,6 +244,9 @@ class PlacementService {
   std::map<int64_t, Entry> entries_;
   int64_t next_id_ = 0;
   std::vector<std::pair<int64_t, dsps::QueryGraph>> pending_;
+  // Workers for candidate pricing, shared with engine_ (declared first so
+  // it outlives the engine).
+  std::unique_ptr<common::ThreadPool> pool_;
   // Cross-request scoring state (pooled workspaces, candidate cache,
   // quantized weight snapshots). Mutable because placement decisions are
   // logically const; the service's public API is externally serialized.

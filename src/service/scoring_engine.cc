@@ -163,13 +163,20 @@ uint64_t CandidatesHash(const std::vector<sim::Placement>& candidates) {
 ScoringEngine::ScoringEngine(const core::Ensemble* target,
                              const core::Ensemble* success,
                              const core::Ensemble* backpressure,
-                             const FastPathConfig& config)
+                             const FastPathConfig& config,
+                             common::ThreadPool* pool)
     : target_(target),
       success_(success),
       backpressure_(backpressure),
-      config_(config) {
+      config_(config),
+      own_pool_(pool == nullptr
+                    ? std::make_unique<common::ThreadPool>(config.num_threads)
+                    : nullptr),
+      workers_(pool == nullptr ? own_pool_.get() : pool) {
   COSTREAM_CHECK(target_ != nullptr);
   COSTREAM_CHECK(config_.rank_top_k > 0);
+  COSTREAM_CHECK(workers_->num_threads() ==
+                 common::ResolveNumThreads(config_.num_threads));
 }
 
 ScoringEngine::~ScoringEngine() = default;
@@ -328,10 +335,12 @@ void ScoringEngine::ScoreSubset(
   }
 
   if (!misses.empty()) {
+    // Worker slots stay below min(pool threads, count), and the caller
+    // prepared that many workspaces.
     const int count = static_cast<int>(misses.size());
-    const int threads =
-        std::min(static_cast<int>(workspaces.size()), count);
-    common::ParallelForIndexed(threads, count, [&](int worker, int k) {
+    COSTREAM_CHECK(static_cast<int>(workspaces.size()) >=
+                   std::min(workers_->num_threads(), count));
+    workers_->ParallelForIndexed(count, [&](int worker, int k) {
       out.scored[misses[k].idx] =
           scorer.Score(workspaces[worker], candidates[misses[k].idx]);
     });
@@ -378,7 +387,7 @@ ScoringEngine::ScoreResult ScoringEngine::ScoreRequest(
     for (int t = 0; t < threads; ++t) {
       workspaces.push_back(scorer.MakeWorkspace());
     }
-    common::ParallelForIndexed(threads, n, [&](int worker, int i) {
+    workers_->ParallelForIndexed(n, [&](int worker, int i) {
       out.scored[i] = scorer.Score(workspaces[worker], candidates[i]);
     });
     std::fill(out.have_full.begin(), out.have_full.end(), 1);

@@ -36,6 +36,10 @@
 #include "placement/scorer.h"
 #include "sim/hardware.h"
 
+namespace costream::common {
+class ThreadPool;
+}  // namespace costream::common
+
 namespace costream::service {
 
 struct FastPathConfig {
@@ -61,6 +65,7 @@ struct FastPathConfig {
   int rank_widen_rounds = 2;
   bool candidate_cache = true;
   // Worker threads for full-precision scoring (<= 0: all hardware threads).
+  // A pool passed to the engine must have this many threads.
   int num_threads = 0;
 };
 
@@ -69,9 +74,12 @@ class ScoringEngine {
   // Ensembles must outlive the engine; `success` / `backpressure` may be
   // null. Not thread-safe: callers (the placement service) are externally
   // serialized; internal scoring still fans out over num_threads workers.
+  // Scoring runs on `pool` when given (it must outlive the engine);
+  // otherwise the engine keeps a pool of its own.
   ScoringEngine(const core::Ensemble* target, const core::Ensemble* success,
                 const core::Ensemble* backpressure,
-                const FastPathConfig& config);
+                const FastPathConfig& config,
+                common::ThreadPool* pool = nullptr);
   ~ScoringEngine();
 
   // True when the quantized ranking tier will run for this configuration.
@@ -146,6 +154,8 @@ class ScoringEngine {
   const core::Ensemble* success_;
   const core::Ensemble* backpressure_;
   FastPathConfig config_;
+  std::unique_ptr<common::ThreadPool> own_pool_;  // null when one was given
+  common::ThreadPool* workers_;
   std::map<uint64_t, StructurePool> pools_;
   std::unique_ptr<placement::QuantizedEnsemble> quantized_;
   // The ranking tier's batch graph, plan and float buffers, reused by the
