@@ -74,15 +74,6 @@ PlacementService::PlacementService(sim::Cluster cluster,
 
 PlacementService::~PlacementService() = default;
 
-double PlacementService::CandidatePenaltyFactor(
-    const sim::BackgroundLoad& load, const sim::BackgroundLoad& total) const {
-  // Present congestion: the candidate is priced with its own steady-state
-  // demand added to the current ledger totals, so overflow a candidate
-  // *would* cause costs immediately — not only after the next repricing.
-  const double price = ledger_.PlacementPenalty(load, total);
-  return 1.0 + config_.penalty_weight * (price - 1.0);
-}
-
 PlacementService::Choice PlacementService::PlaceOne(
     const dsps::QueryGraph& query, const sim::Cluster& view,
     uint64_t salt) const {
@@ -162,16 +153,19 @@ PlacementService::Choice PlacementService::SelectCandidates(
 
   // Congestion factors first: the engine's top-k pre-selection ranks under
   // the same penalized objective the final selection uses. Skipped
-  // candidates need no factor either (they cannot win). Each candidate's
-  // load is kept for Record. The total is read (and refreshed) before the
-  // fan-out.
+  // candidates need no factor either (they cannot win). Present congestion:
+  // each candidate is priced with its own steady-state demand added to the
+  // current ledger total, so overflow a candidate *would* cause costs
+  // immediately — not only after the next repricing. The loads are kept
+  // for Record; the total is read (and refreshed) before the fan-out.
   std::vector<double> factors(m);
   std::vector<sim::BackgroundLoad> loads(m);
   const sim::BackgroundLoad& total = ledger_.TotalLoad();
   pool_->ParallelFor(m, [&](int j) {
     loads[j] = sim::ComputeBackgroundLoad(query, ledger_.cluster(),
                                           candidates[to_score[j]]);
-    factors[j] = CandidatePenaltyFactor(loads[j], total);
+    const double price = ledger_.PlacementPenalty(loads[j], total);
+    factors[j] = 1.0 + config_.penalty_weight * (price - 1.0);
   });
 
   // Batched scoring against the load-adjusted view, exactly like the one-shot

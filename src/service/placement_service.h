@@ -228,11 +228,6 @@ class PlacementService {
                           const std::vector<double>* ranked,
                           const std::vector<char>* demoted) const;
   Choice PlaceGreedyFirstFit(const dsps::QueryGraph& query) const;
-  // Congestion multiplier of a candidate whose steady-state demand is
-  // `load`: the ledger's present-congestion price of adding it, scaled by
-  // config.penalty_weight.
-  double CandidatePenaltyFactor(const sim::BackgroundLoad& load,
-                                const sim::BackgroundLoad& total) const;
   AdmitResult Record(int64_t id, const dsps::QueryGraph& query,
                      const Choice& choice);
 
