@@ -530,6 +530,17 @@ ctest --test-dir build-asan -R \
   'nn_kernel_dispatch_test|nn_quantized_test|service_fastpath_test|core_batched_equivalence_test|core_featurizer_test|verify_shape_test' \
   --output-on-failure
 
+echo "=== AddressSanitizer enumeration and shared-pool sweep ==="
+# Candidate enumeration holds path sets as node bitsets of 64-bit words; the
+# placement suite's golden lists run on 63-, 64-, 65- and 100-node clusters,
+# so the multi-word indexing runs here. The determinism suite drives one
+# service-wide worker pool shared by candidate pricing and the scoring
+# engine at 4 threads, whose worker slots index the scorer workspaces.
+cmake --build build-asan -j "$JOBS" --target placement_test \
+  service_determinism_test
+ctest --test-dir build-asan -R '^(placement_test|service_determinism_test)$' \
+  --output-on-failure
+
 echo "=== AddressSanitizer geo / per-instance DES sweep ==="
 # The per-instance DES scheduler moves work between per-operator FIFOs and a
 # pooled in-flight slot vector that reallocates mid-event (FinishInstance
