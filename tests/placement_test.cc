@@ -201,10 +201,11 @@ TEST(EnumerationTest, MatchesReferenceLoopOnSmallClusters) {
   }
 }
 
-// Two sources crossing between two equal nodes before a join: when source 1
-// moves 0 -> 1 and source 2 moves 1 -> 0, every node is forbidden to the join
-// and the sampler falls back to co-locating it with a sender, which returns
-// data to a node the other branch has left (rule 3).
+// Two join branches crossing between two equal nodes: when one branch goes
+// from node 0 to node 1 (source, then window) and the other from 1 to 0,
+// every node is forbidden to the join and the sampler falls back to
+// co-locating it with a sender, which returns data to a node the other
+// branch has left (rule 3).
 TEST(EnumerationTest, DropsRuleBreakingFallbackSamples) {
   dsps::QueryBuilder b;
   auto left = b.Source(100.0, {dsps::DataType::kInt});
